@@ -55,16 +55,6 @@ def matmul(ops, a, b):
     return out
 
 
-def matvec(ops, a, v):
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            acc = ops.add(acc, ops.mul(x, y))
-        out.append(acc)
-    return out
-
-
 def inv_matrix(ops, a):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)

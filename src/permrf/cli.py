@@ -77,11 +77,16 @@ def _resolve_budget(args):
     return DEFAULT_SIZE_BUDGET
 
 
-def _tower_for(args, budget):
+def _tower_key(args, budget):
+    """make_tower's positional arguments for the --field and modulus flags."""
     p, m, n = parse_field_spec(args.field)
     g = _parse_coeffs(args.modulus_g, "--modulus-g") if args.modulus_g else None
     h = _parse_coeffs(args.modulus_h, "--modulus-h") if args.modulus_h else None
-    return make_tower(p, m, n, g=g, h=h, size_budget=budget)
+    return p, m, n, g, h, budget
+
+
+def _tower_for(args, budget):
+    return make_tower(*_tower_key(args, budget))
 
 
 def _with_pretty(tower, payload, keys):
@@ -154,7 +159,9 @@ def _cmd_check(args, cfg):
     return payload, 0
 
 
-def _classify_one(tower, b, workers, pretty):
+def _classify_one(job):
+    key, b, workers, pretty = job
+    tower = make_tower(*key)
     permuting = classify_c(tower, b, workers=workers)
     try:
         closed = closed_form_c(tower, b)
@@ -172,14 +179,19 @@ def _classify_one(tower, b, workers, pretty):
 
 
 def _cmd_classify(args, cfg):
-    tower = _tower_for(args, cfg.size_budget)
+    key = _tower_key(args, cfg.size_budget)
+    tower = make_tower(*key)
     if args.all_b:
         bs = list(range(tower.q, tower.size))
     elif args.b is not None:
         bs = [args.b]
     else:
         raise UsageError("classify needs --b or --all-b")
-    results = [_classify_one(tower, b, cfg.workers, args.pretty) for b in bs]
+    # One process pool per command: several b fan out one b per job, and
+    # a single b fans its c range out inside classify_c.
+    inner = cfg.workers if len(bs) == 1 else 1
+    results = verify.map_ordered(
+        _classify_one, [(key, b, inner, args.pretty) for b in bs], cfg.workers)
     payload = {
         "command": "classify",
         "field": tower.field_spec,
@@ -375,6 +387,9 @@ def build_parser():
 
 
 def _run_config(args):
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, not {workers}")
     cmd_args = {k: v for k, v in vars(args).items()
                 if k not in ("fn", "command") and v is not None}
     return RunConfig(
@@ -383,7 +398,7 @@ def _run_config(args):
         field_spec=getattr(args, "field", None),
         seed=getattr(args, "seed", 0),
         size_budget=_resolve_budget(args),
-        workers=getattr(args, "workers", 1),
+        workers=workers,
         json_path=getattr(args, "json", None),
         csv_path=getattr(args, "csv", None),
     )

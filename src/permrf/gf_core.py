@@ -21,9 +21,14 @@ Irreducibility of a monic degree-d polynomial f is decided by checking
 gcd(X^(s^i) - X, f) = 1 for 1 <= i <= d // 2.
 
 Multiplication and inversion run on exponential and logarithm tables
-built from the smallest-encoding generator of each level, so a tower of
-size q^n costs O(q^n) memory.  make_tower refuses to build towers larger
-than the size budget.
+built from the smallest-encoding generator g of each level.  In odd
+characteristic addition runs on the same tables through Zech logarithms,
+zech[k] = log(1 + g^k): a + b = a * (1 + b/a) is one lookup each in log,
+zech and exp, and -a = g^((size-1)/2) * a.  Characteristic 2 adds by XOR
+of encodings.  The Frobenius table of the top field is read off the log
+tables, log(x^q) = q * log(x), and the trace table sums its conjugates,
+so a tower of size q^n costs O(q^n) time and memory.  make_tower refuses
+to build towers larger than the size budget.
 """
 
 from functools import lru_cache
@@ -211,7 +216,8 @@ class _ExtField:
 
     Encodings nest the ground field's: an element's digits in base
     ground.size are the ground encodings of its coefficients.  After
-    construction all products go through exp/log tables.
+    construction all products go through exp/log tables, and sums go
+    through the Zech table (odd characteristic) or XOR (characteristic 2).
     """
 
     def __init__(self, ground, modulus):
@@ -231,6 +237,8 @@ class _ExtField:
             self.add = self._add_xor
             self.neg = self._neg_char2
             self.sub = self._add_xor
+        else:
+            self._build_zech()
 
     # Construction-time arithmetic, before the tables exist.
 
@@ -280,6 +288,19 @@ class _ExtField:
         self._exp = exp
         self._log = log
 
+    def _build_zech(self):
+        """zech[k] = log(1 + g^k), None where 1 + g^k = 0.
+
+        The lowest base-p digit of an encoding is the constant term's
+        prime-field coefficient at every level, so adding 1 touches only
+        that digit.  -1 = g^((size-1)/2) in odd characteristic.
+        """
+        p = self.char
+        log = self._log
+        self._zech = [log[x - x % p + (x % p + 1) % p]
+                      for x in self._exp[:self.size - 1]]
+        self._half = (self.size - 1) // 2
+
     # Digit conversions.
 
     def digits(self, a, width=None):
@@ -302,28 +323,26 @@ class _ExtField:
     # Field operations on encodings.
 
     def add(self, a, b):
-        s = self.ground.size
-        out = 0
-        scale = 1
-        while a or b:
-            out += self.ground.add(a % s, b % s) * scale
-            a //= s
-            b //= s
-            scale *= s
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        # log b - log a may be negative; zech has size - 1 entries, so a
+        # negative index wraps to the same residue.
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        return self.add(a, self._exp[self._log[b] + self._half])
 
     def neg(self, a):
-        s = self.ground.size
-        out = 0
-        scale = 1
-        while a:
-            out += self.ground.neg(a % s) * scale
-            a //= s
-            scale *= s
-        return out
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] + self._half]
 
     def _add_xor(self, a, b):
         return a ^ b
@@ -450,7 +469,8 @@ class Element:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.tower), self.level, self.enc))
+        # Equal to an int with the same encoding, so hash like one.
+        return hash(self.enc)
 
     def __bool__(self):
         return self.enc != 0
@@ -484,6 +504,16 @@ class Element:
             f"{self.level} encoding {self.enc} does not lie in {level}")
 
 
+def _check_tower_params(p, m, n, budget):
+    if not isinstance(p, int) or not _is_prime(p):
+        raise NotPrime(f"characteristic {p} is not prime")
+    if m < 1 or n < 1:
+        raise DegreeZero("extension degrees must be at least 1")
+    if p ** (m * n) > budget:
+        raise SizeBudgetExceeded(
+            f"{p}^{m * n} exceeds the size budget {budget}")
+
+
 class FieldTower:
     """Container for the three levels plus the tables keyed to the top one.
 
@@ -493,14 +523,8 @@ class FieldTower:
     """
 
     def __init__(self, p, m, n, g=None, h=None, size_budget=None):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NotPrime(f"characteristic {p} is not prime")
-        if m < 1 or n < 1:
-            raise DegreeZero("extension degrees must be at least 1")
         budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-        if p ** (m * n) > budget:
-            raise SizeBudgetExceeded(
-                f"{p}^{m * n} exceeds the size budget {budget}")
+        _check_tower_params(p, m, n, budget)
         self.p = p
         self.m = m
         self.n = n
@@ -524,19 +548,17 @@ class FieldTower:
         self._build_trace()
 
     def _build_frobenius(self):
-        """Matrix of x -> x^q on the power basis 1, v, ..., v^(n-1), then
-        the full permutation table by matrix-vector products."""
-        n, q = self.n, self.q
+        """Matrix of x -> x^q on the power basis 1, v, ..., v^(n-1), and
+        the full permutation table from log(x^q) = q * log(x)."""
+        n, q, top = self.n, self.q, self.top
         cols = []
         for j in range(n):
-            image = self.top.pow(q ** j, q)
-            cols.append(self.top.digits(image, n))
+            image = top.pow(q ** j, q)
+            cols.append(top.digits(image, n))
         self.frobenius_matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        table = [0] * self.size
-        for x in range(self.size):
-            v = self.top.digits(x, n)
-            table[x] = self.top.undigits(_linalg.matvec(self.mid, self.frobenius_matrix, v))
-        self.frob_table = table
+        exp, log, order = top._exp, top._log, self.size - 1
+        self.frob_table = [0] + [exp[log[x] * q % order]
+                                 for x in range(1, self.size)]
 
     def _build_trace(self):
         frob = self.frob_table
@@ -656,15 +678,39 @@ class FieldTower:
 
 
 @lru_cache(maxsize=None)
+def _canonical_moduli(p, m, n):
+    """The canonical (g, h) of the tower, building only its middle field."""
+    base = _PrimeField(p)
+    g = _canonical_modulus(base, m)
+    return g, _canonical_modulus(_ExtField(base, g), n)
+
+
+@lru_cache(maxsize=None)
+def _cached_tower(p, m, n, g, h, size_budget):
+    return FieldTower(p, m, n, g=g, h=h, size_budget=size_budget)
+
+
 def make_tower(p, m, n, g=None, h=None, size_budget=None):
     """Build (or fetch the cached) tower F_p < F_(p^m) < F_(p^(m*n)).
 
     g and h, when given, must be coefficient tuples (low to high, monic)
     for the middle and top moduli; otherwise the canonical smallest
     irreducibles are used.  size_budget caps p^(m*n); the default refuses
-    fields beyond 2^24 elements.
+    fields beyond 2^24 elements.  Defaults are resolved before the cache
+    lookup, so spelling out the default budget or the canonical moduli
+    returns the same tower as leaving them out.
     """
-    return FieldTower(p, m, n, g=g, h=h, size_budget=size_budget)
+    budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+    if g is not None or h is not None:
+        _check_tower_params(p, m, n, budget)
+        canon_g, canon_h = _canonical_moduli(p, m, n)
+        g = None if g is None or tuple(g) == canon_g else tuple(g)
+        h = None if h is None or (g is None and tuple(h) == canon_h) else tuple(h)
+    return _cached_tower(p, m, n, g, h, budget)
+
+
+make_tower.cache_info = _cached_tower.cache_info
+make_tower.cache_clear = _cached_tower.cache_clear
 
 
 def frobenius(a, i=1):

@@ -22,11 +22,11 @@ annihilator of the image.  Rank below n-1 never permutes: the image meets
 each of the q fibers in at most q^(rank) points.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import _linalg
+from ._pool import map_ordered, worker_count
 from .errors import (
     BadAlpha,
     BInBaseField,
@@ -205,8 +205,7 @@ def _classify_chunk(args):
     invs = _pair_inverses(tower, b)
     products = [top.mul(invs[i], invs[j])
                 for i in range(tower.q) for j in range(i + 1, tower.q)]
-    return [c for c in range(max(lo, 1), hi)
-            if _permitted_c(tower, products, c)]
+    return [c for c in range(lo, hi) if _permitted_c(tower, products, c)]
 
 
 def classify_c(tower, b, workers=1):
@@ -222,19 +221,13 @@ def classify_c(tower, b, workers=1):
         raise SizeBudgetExceeded(
             f"classification needs {tower.size}^2 pair evaluations, "
             f"over the budget {tower.size_budget}")
-    if workers > 1:
-        bounds = [(tower.size * i) // workers for i in range(workers + 1)]
-        jobs = [(tower.p, tower.m, tower.n, tower.mid.modulus,
-                 tower.top.modulus, tower.size_budget, b, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        out = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_classify_chunk, jobs):
-                out.extend(chunk)
-        return out
-    return _classify_chunk((tower.p, tower.m, tower.n, tower.mid.modulus,
-                            tower.top.modulus, tower.size_budget, b,
-                            1, tower.size))
+    chunks = worker_count(workers, tower.size - 1)
+    bounds = [1 + (tower.size - 1) * i // chunks for i in range(chunks + 1)]
+    jobs = [(tower.p, tower.m, tower.n, tower.mid.modulus,
+             tower.top.modulus, tower.size_budget, b, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])]
+    return [c for chunk in map_ordered(_classify_chunk, jobs, chunks)
+            for c in chunk]
 
 
 def closed_form_c(tower, b, d=None):

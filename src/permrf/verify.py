@@ -17,10 +17,10 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
 from .errors import EvenCharacteristic, NotPrime, UsageError
 from .gf_core import DEFAULT_SIZE_BUDGET, basis_det_b, make_tower
@@ -54,16 +54,6 @@ def split_prime_power(q):
     if q != 1:
         raise NotPrime(f"{q * p ** m} is not a prime power")
     return p, m
-
-
-def map_ordered(fn, items, workers=1):
-    """fn over items, preserving order; workers > 1 fans out to processes."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 @dataclass

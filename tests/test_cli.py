@@ -117,6 +117,21 @@ def test_classify_single_and_all(capsys):
     assert all(e["matches_closed_form"] for e in payload["results"])
 
 
+def test_classify_all_b_same_at_any_worker_count(capsys):
+    outs = [run_cli(capsys, "classify", "--field", "2^2:2", "--all-b",
+                    "--workers", w) for w in ("1", "2")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
+def test_workers_below_one_rejected(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(capsys, "classify", "--field", "3:2",
+                                 "--all-b", "--workers", workers)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "UsageError"
+
+
 def test_classify_needs_b(capsys):
     code, _, err = run_cli(capsys, "classify", "--field", "3:2")
     assert code == 2

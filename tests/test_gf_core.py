@@ -5,6 +5,8 @@ schoolbook polynomial products with trial-division irreducibility,
 no shared code with the package.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +38,7 @@ from permrf.errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
+from permrf.gf_core import DEFAULT_SIZE_BUDGET
 
 # Smallest monic irreducibles by ascending coefficient code, middle
 # then top, coefficients low to high.
@@ -56,6 +59,25 @@ CANONICAL_MODULI = {
     (2, 5, 2): ((1, 0, 1, 0, 0, 1), (1, 1, 1)),
     (2, 1, 10): ((0, 1), (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
 }
+
+# Encodings nest base-p digits down to the prime field at every level, so
+# addition is digitwise addition mod p.  These references share no code
+# with the package's log, Zech or XOR arithmetic.
+def digit_add(p, a, b):
+    out, scale = 0, 1
+    while a or b:
+        out += (a % p + b % p) % p * scale
+        a, b, scale = a // p, b // p, scale * p
+    return out
+
+
+def digit_neg(p, a):
+    out, scale = 0, 1
+    while a:
+        out += (-(a % p)) % p * scale
+        a, scale = a // p, scale * p
+    return out
+
 
 F9_TRACES = {0: 0, 1: 2, 2: 1, 3: 0, 4: 2, 5: 1, 6: 0, 7: 2, 8: 1}
 F8_TRACES = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
@@ -107,7 +129,7 @@ def test_field_spec_and_sizes():
 
 
 def test_frobenius_matrix_realizes_qth_power():
-    for params in ((3, 1, 2), (2, 2, 3), (2, 1, 4)):
+    for params in ((3, 1, 2), (2, 2, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3)):
         t = make_tower(*params)
         mid = t.ops("mid")
         top = t.ops("top")
@@ -116,9 +138,34 @@ def test_frobenius_matrix_realizes_qth_power():
             image = [0] * t.n
             for j, d in enumerate(digits):
                 for i in range(t.n):
-                    image[i] = mid.add(image[i],
-                                       mid.mul(t.frobenius_matrix[i][j], d))
+                    image[i] = digit_add(
+                        t.p, image[i], mid.mul(t.frobenius_matrix[i][j], d))
             assert top.undigits(image) == t.frob_enc(x) == top.pow(x, t.q)
+
+
+@pytest.mark.parametrize("params", [(3, 2, 2), (5, 1, 2), (3, 1, 3)])
+def test_odd_char_add_sub_neg_exhaustive(params):
+    t = make_tower(*params)
+    for level in ("mid", "top"):
+        ops = t.ops(level)
+        for a in range(ops.size):
+            assert ops.neg(a) == digit_neg(t.p, a)
+            for b in range(ops.size):
+                assert ops.add(a, b) == digit_add(t.p, a, b)
+                assert ops.sub(a, b) == digit_add(t.p, a, digit_neg(t.p, b))
+
+
+@pytest.mark.parametrize("params", [(3, 2, 3), (7, 1, 3)])
+def test_odd_char_add_sub_neg_sampled(params):
+    t = make_tower(*params)
+    rng = random.Random(f"add:{params}")
+    for level in ("mid", "top"):
+        ops = t.ops(level)
+        for _ in range(5000):
+            a, b = rng.randrange(ops.size), rng.randrange(ops.size)
+            assert ops.add(a, b) == digit_add(t.p, a, b)
+            assert ops.sub(a, b) == digit_add(t.p, a, digit_neg(t.p, b))
+            assert ops.neg(a) == digit_neg(t.p, a)
 
 
 def test_trace_equals_conjugate_sum():
@@ -217,6 +264,14 @@ def test_element_operators():
     assert bool(a) and not bool(t.zero())
     assert int(a) == 3
     assert a in {t.element("top", 3)}
+
+
+def test_element_hash_agrees_with_int_equality():
+    t = make_tower(3, 1, 2)
+    e = t.element("top", 5)
+    assert e == 5 and hash(e) == hash(5)
+    assert 5 in {e}
+    assert e in {5}
 
 
 def test_element_is_immutable():
@@ -422,3 +477,15 @@ def test_trace_is_balanced(t):
 def test_make_tower_caches():
     assert make_tower(3, 1, 2) is make_tower(3, 1, 2)
     assert make_tower(3, 1, 2) is not make_tower(3, 1, 2, h=(2, 2, 1))
+
+
+def test_make_tower_resolves_defaults_before_caching():
+    t = make_tower(3, 1, 2)
+    assert make_tower(3, 1, 2, size_budget=DEFAULT_SIZE_BUDGET) is t
+    assert make_tower(3, 1, 2, g=(0, 1)) is t
+    assert make_tower(3, 1, 2, g=[0, 1], h=(1, 0, 1),
+                      size_budget=DEFAULT_SIZE_BUDGET) is t
+    assert make_tower(3, 1, 2, size_budget=10 ** 6) is not t
+    assert make_tower(3, 1, 2, g=(1, 1)) is not t
+    nested = make_tower(3, 2, 2)
+    assert make_tower(3, 2, 2, g=(1, 0, 1), h=(4, 0, 1)) is nested

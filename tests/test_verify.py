@@ -3,9 +3,11 @@ serialization.
 """
 
 import json
+import os
 
 import pytest
 
+from permrf import _pool
 from permrf import (
     LinearizedPoly,
     RatFuncSpec,
@@ -48,6 +50,41 @@ def test_map_ordered_preserves_order():
     items = list(range(37))
     assert map_ordered(_square, items, workers=1) == [x * x for x in items]
     assert map_ordered(_square, items, workers=2) == [x * x for x in items]
+
+
+def test_worker_count_clamps(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool.worker_count(64, 10) == 2
+    assert _pool.worker_count(64, 1) == 1
+    assert _pool.worker_count(1, 10) == 1
+    assert _pool.worker_count(0, 10) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool.worker_count(4, 10) == 1
+
+
+def test_map_ordered_opens_clamped_pool(monkeypatch):
+    # A stand-in executor records the pool size without starting processes.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert map_ordered(_square, range(3), workers=10 ** 6) == [0, 1, 4]
+    assert map_ordered(_square, range(9), workers=10 ** 6) == [x * x for x in range(9)]
+    assert map_ordered(_square, range(9), workers=1) == [x * x for x in range(9)]
+    assert sizes == [3, 4]
 
 
 def test_theorem_n2_classify_counts():
