@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
 from .gf_core import FieldTower
-from .ratfunc import _check_b, _check_c, _enc
+from .ratfunc import _checked_bc, _enc
 
 
 def _trim(grid):
@@ -192,9 +192,7 @@ def build_f2(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^q (X+b)(Y+b)); bidegree (2, 2)."""
     if tower.n != 2:
         raise UnsupportedDegree("this curve is specific to degree 2")
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     w = _shifted_product(tower, b)
     cq = tower.frob_enc(c)
     return sub(norm_poly(w), trace_poly(scalar_mul(w, cq))).expect_bidegree(2, 2)
@@ -215,9 +213,7 @@ def build_f3(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); bidegree (3, 3)."""
     if tower.n != 3:
         raise UnsupportedDegree("this curve is specific to degree 3")
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     w = _shifted_product(tower, b)
     cqq = tower.frob_enc(c, 2)
     kern = trace_poly(scalar_mul(_quartic_product(tower, b), cqq))
@@ -233,9 +229,7 @@ def build_f3_kernel(tower, b, c):
     """
     if tower.n != 3:
         raise UnsupportedDegree("this curve is specific to degree 3")
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     cqq = tower.frob_enc(c, 2)
     kern = trace_poly(scalar_mul(_quartic_product(tower, b), cqq))
     return kern.expect_bidegree(2, 2)

@@ -678,11 +678,14 @@ class FieldTower:
 
 
 @lru_cache(maxsize=None)
-def _canonical_moduli(p, m, n):
-    """The canonical (g, h) of the tower, building only its middle field."""
-    base = _PrimeField(p)
-    g = _canonical_modulus(base, m)
-    return g, _canonical_modulus(_ExtField(base, g), n)
+def _canonical_g(p, m):
+    return _canonical_modulus(_PrimeField(p), m)
+
+
+@lru_cache(maxsize=None)
+def _canonical_h(p, m, n, g):
+    """The canonical top modulus over the middle field F_p[u]/(g)."""
+    return _canonical_modulus(_ExtField(_PrimeField(p), g), n)
 
 
 @lru_cache(maxsize=None)
@@ -697,15 +700,21 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     for the middle and top moduli; otherwise the canonical smallest
     irreducibles are used.  size_budget caps p^(m*n); the default refuses
     fields beyond 2^24 elements.  Defaults are resolved before the cache
-    lookup, so spelling out the default budget or the canonical moduli
-    returns the same tower as leaving them out.
+    lookup, so spelling out the default budget, the canonical g, or the
+    canonical h over the chosen middle field returns the same tower as
+    leaving them out.
     """
     budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
     if g is not None or h is not None:
         _check_tower_params(p, m, n, budget)
-        canon_g, canon_h = _canonical_moduli(p, m, n)
+        canon_g = _canonical_g(p, m)
         g = None if g is None or tuple(g) == canon_g else tuple(g)
-        h = None if h is None or (g is None and tuple(h) == canon_h) else tuple(h)
+        # A g of the wrong degree is left for FieldTower to refuse.
+        if h is not None:
+            h = tuple(h)
+            if ((g is None or len(g) == m + 1)
+                    and h == _canonical_h(p, m, n, g or canon_g)):
+                h = None
     return _cached_tower(p, m, n, g, h, budget)
 
 

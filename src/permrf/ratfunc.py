@@ -20,9 +20,17 @@ permutes exactly when the kernel generator has nonzero trace and no pair
 x0 != y0 has Tr(beta*c/((x0+b)(y0+b))) = 0, beta being the trace-form
 annihilator of the image.  Rank below n-1 never permutes: the image meets
 each of the q fibers in at most q^(rank) points.
+
+Both pair tests, and classify_c, share one scan in the log domain.  For a
+fixed (tower, b) the q values log(1/(x0+b)) are computed once and kept in
+a one-entry memo, since sweeps hold b fixed while c varies; each pair then
+costs one exp lookup and one trace lookup.  The direct and reduced tests
+do their own field arithmetic and never touch that scan, so they stay
+independent checks of it.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import _linalg
@@ -63,6 +71,14 @@ def _check_c(tower, c):
         raise CZero("c must be nonzero")
 
 
+def _checked_bc(tower, b, c):
+    """Encodings of b and c, validated b first."""
+    b, c = _enc(b), _enc(c)
+    _check_b(tower, b)
+    _check_c(tower, c)
+    return b, c
+
+
 @dataclass(frozen=True)
 class RatFuncSpec:
     """The map x -> L(x) + c/(Tr(x) + b); L defaults to the identity."""
@@ -73,10 +89,9 @@ class RatFuncSpec:
     L: Optional[LinearizedPoly] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _enc(self.b))
-        object.__setattr__(self, "c", _enc(self.c))
-        _check_b(self.tower, self.b)
-        _check_c(self.tower, self.c)
+        b, c = _checked_bc(self.tower, self.b, self.c)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         if self.L is None:
             object.__setattr__(self, "L", LinearizedPoly.identity(self.tower))
 
@@ -138,9 +153,7 @@ def reduced_map_eval(tower, b, c, t0):
 
 
 def is_permutation_reduced(tower, b, c):
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     seen = bytearray(tower.q)
     for t0 in range(tower.q):
         y = reduced_map_eval(tower, b, c, t0)
@@ -150,76 +163,67 @@ def is_permutation_reduced(tower, b, c):
     return True
 
 
-def _pair_inverses(tower, b):
+@lru_cache(maxsize=1)
+def _inverse_logs(tower, b):
+    """log(1/(x0 + b)) for x0 = 0 .. q-1; b is an encoding outside F_q.
+
+    The entries are read off the log table rather than computed as
+    -log(x0 + b) mod (size - 1), so they are the table's own int objects:
+    fresh ints made for every b fragmented the allocator and raised peak
+    memory over long sweeps.
+    """
     top = tower.top
-    return [top.inv(top.add(x0, b)) for x0 in range(tower.q)]
+    return tuple(top._log[top.inv(top.add(x0, b))] for x0 in range(tower.q))
+
+
+def _first_pair(tower, b, c, target):
+    """The first pair x0 < y0 in F_q, rows x0 ascending, with
+    Tr(c/((x0+b)(y0+b))) == target; None when there is none."""
+    ilog = _inverse_logs(tower, b)
+    exp, trace = tower.top._exp, tower.trace_table
+    order = tower.size - 1
+    lc = tower.top._log[c]
+    for x0 in range(tower.q - 1):
+        r = (lc + ilog[x0]) % order
+        for y0, ly in enumerate(ilog[x0 + 1:], x0 + 1):
+            if trace[exp[r + ly]] == target:
+                return x0, y0
+    return None
 
 
 def pairwise_criterion(tower, b, c):
     """ok is False on the first pair x0 < y0 with Tr(c/((x0+b)(y0+b))) = 1,
     reported as the witness."""
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
-    top = tower.top
-    trace = tower.trace_table
-    invs = _pair_inverses(tower, b)
-    for x0 in range(tower.q):
-        cix = top.mul(c, invs[x0])
-        for y0 in range(x0 + 1, tower.q):
-            if trace[top.mul(cix, invs[y0])] == 1:
-                return Criterion(False, (x0, y0))
-    return Criterion(True, None)
+    pair = _first_pair(tower, *_checked_bc(tower, b, c), 1)
+    return Criterion(pair is None, pair)
 
 
 def kernel_criterion(tower, b, c):
     """exists is True on the first pair x0 < y0 with
     Tr(c/((x0+b)(y0+b))) = 0, reported as the witness."""
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
-    top = tower.top
-    trace = tower.trace_table
-    invs = _pair_inverses(tower, b)
-    for x0 in range(tower.q):
-        cix = top.mul(c, invs[x0])
-        for y0 in range(x0 + 1, tower.q):
-            if trace[top.mul(cix, invs[y0])] == 0:
-                return KernelCriterion(True, (x0, y0))
-    return KernelCriterion(False, None)
-
-
-def _permitted_c(tower, pair_products, c):
-    trace = tower.trace_table
-    mul = tower.top.mul
-    for pij in pair_products:
-        if trace[mul(c, pij)] == 1:
-            return False
-    return True
+    pair = _first_pair(tower, *_checked_bc(tower, b, c), 0)
+    return KernelCriterion(pair is not None, pair)
 
 
 def _classify_chunk(args):
     p, m, n, g, h, budget, b, lo, hi = args
     tower = make_tower(p, m, n, g=g, h=h, size_budget=budget)
-    top = tower.top
-    invs = _pair_inverses(tower, b)
-    products = [top.mul(invs[i], invs[j])
-                for i in range(tower.q) for j in range(i + 1, tower.q)]
-    return [c for c in range(lo, hi) if _permitted_c(tower, products, c)]
+    return [c for c in range(lo, hi) if _first_pair(tower, b, c, 1) is None]
 
 
 def classify_c(tower, b, workers=1):
     """All c for which x + c/(Tr(x)+b) permutes, ascending encodings.
 
     Runs the pairwise test with early exit on every nonzero c, so the
-    cost is q^(2n) pair evaluations in the worst case; towers whose
-    squared size exceeds the budget are refused.
+    cost is at most (q^n - 1) * q(q-1)/2 pair evaluations.  Towers whose
+    squared size q^(2n) exceeds the budget are refused; q^(2n) bounds that
+    cost from above.
     """
     b = _enc(b)
     _check_b(tower, b)
     if tower.size ** 2 > tower.size_budget:
         raise SizeBudgetExceeded(
-            f"classification needs {tower.size}^2 pair evaluations, "
+            f"classification bound {tower.size}^2 on pair evaluations is "
             f"over the budget {tower.size_budget}")
     chunks = worker_count(workers, tower.size - 1)
     bounds = [1 + (tower.size - 1) * i // chunks for i in range(chunks + 1)]
@@ -321,9 +325,7 @@ def remark2_transform(tower, b, c, alpha=None):
     is used.  The twisted map permutes exactly when the original does,
     and its denominator stays nonzero because Tr(b2) != 0.
     """
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     if tower.n != 2:
         raise UnsupportedDegree("the twist is specific to degree 2")
     top = tower.top
@@ -366,9 +368,7 @@ def remark3_check(tower, b, c):
         raise UnsupportedDegree("the scan is specific to degree 3")
     if tower.p == 2:
         raise EvenCharacteristic("the scan needs odd characteristic")
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
+    b, c = _checked_bc(tower, b, c)
     top = tower.top
     trace = tower.trace_table
     bsq = top.mul(b, b)

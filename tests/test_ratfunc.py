@@ -38,6 +38,7 @@ from permrf.errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
+from permrf import ratfunc
 from permrf.ratfunc import reduced_map_eval
 
 
@@ -327,3 +328,104 @@ def test_closed_form_permutes_everywhere():
         for b in range(t.q, t.size):
             c = closed_form_c(t, b)
             assert pairwise_criterion(t, b, c).ok
+
+
+# The pair tests and classify_c share one log-domain scan.  The reference
+# below redoes that scan with field operations only, so the kernel is never
+# checked against itself.
+
+KERNEL_TOWERS = (
+    (2, 1, 2),
+    (3, 1, 2),
+    (2, 2, 2),
+    (5, 1, 2),
+    (2, 1, 3),
+    (3, 1, 3),
+    (3, 2, 2),
+)
+
+
+def reference_first_pair(t, b, c, target):
+    """First x0 < y0, rows x0 ascending, with Tr(c/((x0+b)(y0+b))) == target."""
+    top = t.top
+    for x0 in range(t.q):
+        for y0 in range(x0 + 1, t.q):
+            w = top.mul(top.add(x0, b), top.add(y0, b))
+            if t.trace_table[top.mul(c, top.inv(w))] == target:
+                return x0, y0
+    return None
+
+
+def assert_pair_tests_match_reference(t, b, c):
+    ref_one = reference_first_pair(t, b, c, 1)
+    ref_zero = reference_first_pair(t, b, c, 0)
+    assert pairwise_criterion(t, b, c) == (ref_one is None, ref_one)
+    assert kernel_criterion(t, b, c) == (ref_zero is not None, ref_zero)
+
+
+@pytest.mark.parametrize("params", KERNEL_TOWERS,
+                         ids=lambda p: f"{p[0]}^{p[1]}:{p[2]}")
+def test_pair_witnesses_match_reference_exhaustively(params):
+    t = make_tower(*params)
+    for b in range(t.q, t.size):
+        for c in range(1, t.size):
+            assert_pair_tests_match_reference(t, b, c)
+
+
+@pytest.mark.parametrize("params", KERNEL_TOWERS,
+                         ids=lambda p: f"{p[0]}^{p[1]}:{p[2]}")
+def test_classify_matches_direct_exhaustively(params):
+    t = make_tower(*params)
+    for b in range(t.q, t.size):
+        assert classify_c(t, b) == [
+            c for c in range(1, t.size)
+            if is_permutation_direct(RatFuncSpec(t, b, c))]
+
+
+def test_pair_memo_isolated_across_towers_and_b():
+    # Two towers of the same size (different top moduli) and one of a
+    # different q share b encodings; interleaving them must never reuse
+    # another (tower, b)'s inverse logarithms.
+    towers = (make_tower(3, 1, 2), make_tower(3, 1, 2, h=(2, 2, 1)),
+              make_tower(2, 1, 3), make_tower(2, 1, 3, h=(1, 0, 1, 1)))
+    calls = 0
+    for _ in range(2):
+        for b in (3, 5, 7):
+            for t in towers:
+                if b < t.q:
+                    continue
+                for c in range(1, t.size):
+                    as_element = calls % 2 == 1
+                    bb = t.element("top", b) if as_element else b
+                    ref = reference_first_pair(t, b, c, 1)
+                    assert pairwise_criterion(t, bb, c) == (ref is None, ref)
+                    ref = reference_first_pair(t, b, c, 0)
+                    assert kernel_criterion(t, bb, c) == \
+                        (ref is not None, ref)
+                    calls += 1
+    assert calls > 0
+
+
+def test_classify_custom_moduli_builds_no_second_tower():
+    for params, g in (((3, 1, 2), (1, 1)), ((3, 2, 2), (2, 1, 1))):
+        t = make_tower(*params, g=g)
+        b = t.q
+        misses = make_tower.cache_info().misses
+        got = classify_c(t, b)
+        assert make_tower.cache_info().misses == misses
+        assert make_tower(*params, g=g, h=t.top.modulus) is t
+        assert got == [c for c in range(1, t.size)
+                       if is_permutation_direct(RatFuncSpec(t, b, c))]
+
+
+def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("independent check used the pair scan")
+
+    monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
+    t = make_tower(3, 1, 2)
+    assert is_permutation_direct(RatFuncSpec(t, 3, 1))
+    assert not is_permutation_direct(RatFuncSpec(t, 3, 2))
+    assert is_permutation_reduced(t, 3, 1)
+    assert not is_permutation_reduced(t, 3, 2)
