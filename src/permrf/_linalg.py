@@ -37,11 +37,6 @@ def rref(ops, rows):
     return m, pivots
 
 
-def rank(ops, rows):
-    _, pivots = rref(ops, rows)
-    return len(pivots)
-
-
 def matmul(ops, a, b):
     n, k = len(a), len(b)
     p = len(b[0]) if b else 0

@@ -5,6 +5,7 @@ schoolbook polynomial products with trial-division irreducibility,
 no shared code with the package.
 """
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from permrf import (
     basis_det_b,
     dual_basis,
     frobenius,
+    gf_core,
     invert,
     is_in_subfield,
     make_tower,
@@ -76,6 +78,41 @@ def digit_neg(p, a):
     while a:
         out += (-(a % p)) % p * scale
         a, scale = a // p, scale * p
+    return out
+
+
+# Schoolbook product and reduction in F_p[u]/(moduli[0])[v]/(moduli[1]),
+# coefficients handled by recursion down to F_p.  Shares no code with the
+# package's tables or its construction-time polynomial arithmetic.
+def ref_mul(p, moduli, a, b):
+    if not moduli:
+        return a * b % p
+    *inner, f = moduli
+    s = p ** math.prod(len(g) - 1 for g in inner)
+    d = len(f) - 1
+    da = [a // s ** i % s for i in range(d)]
+    db = [b // s ** i % s for i in range(d)]
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            if x and y:
+                prod[i + j] = digit_add(p, prod[i + j], ref_mul(p, inner, x, y))
+    # x^k = -x^(k-d) * (f_0 + ... + f_(d-1) x^(d-1)) for k >= d
+    for k in range(2 * d - 2, d - 1, -1):
+        if prod[k]:
+            for i in range(d):
+                term = digit_neg(p, ref_mul(p, inner, prod[k], f[i]))
+                prod[k - d + i] = digit_add(p, prod[k - d + i], term)
+    return sum(c * s ** i for i, c in enumerate(prod[:d]))
+
+
+def ref_pow(p, moduli, a, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = ref_mul(p, moduli, out, a)
+        a = ref_mul(p, moduli, a, a)
+        e >>= 1
     return out
 
 
@@ -178,6 +215,77 @@ def test_trace_equals_conjugate_sum():
                 acc = top.add(acc, t.frob_enc(x, i))
             assert t.trace_enc(x) == acc
             assert t.trace_enc(x) < t.q
+
+
+# (p, m, n, g, h): both characteristics, m = 1 and m > 1, n = 1, custom
+# moduli, the order-1 field (2:1), generator steps of one chunk (2^2:3,
+# 3^2:2), of two uneven chunks (2:13, 3:7) and of three (7:5).
+TABLE_TOWERS = (
+    (2, 1, 1, None, None),
+    (2, 1, 13, None, None),
+    (2, 2, 3, None, None),
+    (2, 3, 1, None, None),
+    (2, 3, 2, (1, 0, 1, 1), (2, 1, 1)),
+    (3, 1, 7, None, None),
+    (3, 2, 1, None, None),
+    (3, 2, 2, (2, 1, 1), (4, 0, 1)),
+    (3, 2, 3, None, None),
+    (5, 1, 3, None, (4, 1, 0, 1)),
+    (7, 1, 5, None, None),
+)
+
+
+@pytest.mark.parametrize("p,m,n,g,h", TABLE_TOWERS)
+def test_tables_match_polynomial_reference(p, m, n, g, h):
+    t = make_tower(p, m, n, g=g, h=h)
+    if g is not None:
+        assert t.mid.modulus == g
+    if h is not None:
+        assert t.top.modulus == h
+    for f, moduli in ((t.mid, (t.mid.modulus,)),
+                      (t.top, (t.mid.modulus, t.top.modulus))):
+        order = f.size - 1
+        exp, log = f._exp, f._log
+        assert exp[0] == 1
+        for i in range(order):
+            assert exp[i + 1] == ref_mul(p, moduli, exp[i], f.generator)
+            assert log[exp[i]] == i
+        assert sorted(exp[:order]) == list(range(1, f.size))
+        assert all(exp[i] == exp[i - order] for i in range(order, len(exp)))
+        if p != 2:
+            for k in range(order):
+                one_plus = digit_add(p, 1, exp[k])
+                assert f._zech[k] == (log[one_plus] if one_plus else None)
+    moduli = (t.mid.modulus, t.top.modulus)
+    rng = random.Random(f"tables:{p}:{m}:{n}")
+    for x in rng.sample(range(t.size), min(t.size, 40)):
+        assert t.frob_table[x] == ref_pow(p, moduli, x, t.q)
+    for x in range(t.size):
+        acc = conj = x
+        for _ in range(n - 1):
+            conj = t.frob_table[conj]
+            acc = digit_add(p, acc, conj)
+        assert t.trace_table[x] == acc
+
+
+def test_cold_build_makes_few_polynomial_products(monkeypatch):
+    """The exp tables step by table lookups, not one polynomial product
+    per element.  Most of the products left are the generator search's
+    (3^5:2 tries 250 candidates)."""
+    calls = 0
+    raw_mul = gf_core._ExtField._raw_mul
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(gf_core._ExtField, "_raw_mul", counting)
+    for params in ((2, 1, 15), (3, 5, 2)):
+        make_tower.cache_clear()
+        calls = 0
+        t = make_tower(*params)
+        assert calls * 4 < t.size
 
 
 def test_norm_equals_conjugate_product():
