@@ -39,7 +39,6 @@ from .ratfunc import (
     normalize_spec,
     pairwise_criterion,
 )
-from .verify import RunConfig
 
 _FIELD_RE = re.compile(r"^(\d+)(?:\^(\d+))?:(\d+)$")
 
@@ -65,7 +64,7 @@ def _parse_coeffs(text, what):
 
 
 def _resolve_budget(args):
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("PERMRF_BUDGET")
     if env is not None:
@@ -77,16 +76,16 @@ def _resolve_budget(args):
     return DEFAULT_SIZE_BUDGET
 
 
-def _tower_key(args, budget):
+def _tower_key(args):
     """make_tower's positional arguments for the --field and modulus flags."""
     p, m, n = parse_field_spec(args.field)
     g = _parse_coeffs(args.modulus_g, "--modulus-g") if args.modulus_g else None
     h = _parse_coeffs(args.modulus_h, "--modulus-h") if args.modulus_h else None
-    return p, m, n, g, h, budget
+    return p, m, n, g, h, args.budget
 
 
-def _tower_for(args, budget):
-    return make_tower(*_tower_key(args, budget))
+def _tower_for(args):
+    return make_tower(*_tower_key(args))
 
 
 def _with_pretty(tower, payload, keys):
@@ -97,8 +96,8 @@ def _with_pretty(tower, payload, keys):
     return payload
 
 
-def _cmd_field(args, cfg):
-    tower = _tower_for(args, cfg.size_budget)
+def _cmd_field(args):
+    tower = _tower_for(args)
     payload = {
         "command": "field",
         "field": tower.field_spec,
@@ -117,8 +116,8 @@ def _cmd_field(args, cfg):
     return payload, 0
 
 
-def _cmd_check(args, cfg):
-    tower = _tower_for(args, cfg.size_budget)
+def _cmd_check(args):
+    tower = _tower_for(args)
     L = None
     if args.L:
         L = LinearizedPoly(tower, _parse_coeffs(args.L, "--L"))
@@ -178,8 +177,8 @@ def _classify_one(job):
     return entry
 
 
-def _cmd_classify(args, cfg):
-    key = _tower_key(args, cfg.size_budget)
+def _cmd_classify(args):
+    key = _tower_key(args)
     tower = make_tower(*key)
     if args.all_b:
         bs = list(range(tower.q, tower.size))
@@ -189,9 +188,9 @@ def _cmd_classify(args, cfg):
         raise UsageError("classify needs --b or --all-b")
     # One process pool per command: several b fan out one b per job, and
     # a single b fans its c range out inside classify_c.
-    inner = cfg.workers if len(bs) == 1 else 1
+    inner = args.workers if len(bs) == 1 else 1
     results = verify.map_ordered(
-        _classify_one, [(key, b, inner, args.pretty) for b in bs], cfg.workers)
+        _classify_one, [(key, b, inner, args.pretty) for b in bs], args.workers)
     payload = {
         "command": "classify",
         "field": tower.field_spec,
@@ -201,8 +200,8 @@ def _cmd_classify(args, cfg):
     return payload, 0
 
 
-def _cmd_factor(args, cfg):
-    tower = _tower_for(args, cfg.size_budget)
+def _cmd_factor(args):
+    tower = _tower_for(args)
     build = {2: build_f2, 3: build_f3}.get(tower.n)
     if build is None:
         raise UsageError("factor curves exist for degree 2 and 3 towers only")
@@ -224,8 +223,8 @@ def _cmd_factor(args, cfg):
     return payload, 0
 
 
-def _cmd_points(args, cfg):
-    tower = _tower_for(args, cfg.size_budget)
+def _cmd_points(args):
+    tower = _tower_for(args)
     builders = {
         "f2": build_f2,
         "f3": build_f3,
@@ -249,7 +248,7 @@ def _cmd_points(args, cfg):
     return payload, 0
 
 
-def _cmd_weil(args, cfg):
+def _cmd_weil(args):
     payload = {
         "command": "weil",
         "degree": args.degree,
@@ -260,7 +259,7 @@ def _cmd_weil(args, cfg):
     return payload, 0
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     qs = None
     if args.q:
         qs = tuple(int(x) for x in _parse_coeffs(args.q, "--q"))
@@ -269,13 +268,13 @@ def _cmd_verify(args, cfg):
             raise UsageError("--suite all runs fixed defaults; drop --q")
         if args.mode is not None:
             raise UsageError("--suite all runs fixed defaults; drop --mode")
-        reports = verify.run_battery(seed=cfg.seed, workers=cfg.workers,
-                                     size_budget=cfg.size_budget,
+        reports = verify.run_battery(seed=args.seed, workers=args.workers,
+                                     size_budget=args.budget,
                                      samples=args.samples)
     else:
-        reports = verify.run_suite(args.suite, qs, seed=cfg.seed,
-                                   workers=cfg.workers,
-                                   size_budget=cfg.size_budget,
+        reports = verify.run_suite(args.suite, qs, seed=args.seed,
+                                   workers=args.workers,
+                                   size_budget=args.budget,
                                    mode=args.mode, samples=args.samples)
     text = verify.reports_to_json(reports, include_elapsed=args.timings)
     if args.json:
@@ -386,30 +385,14 @@ def build_parser():
     return parser
 
 
-def _run_config(args):
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, not {workers}")
-    cmd_args = {k: v for k, v in vars(args).items()
-                if k not in ("fn", "command") and v is not None}
-    return RunConfig(
-        command=args.command,
-        args=cmd_args,
-        field_spec=getattr(args, "field", None),
-        seed=getattr(args, "seed", 0),
-        size_budget=_resolve_budget(args),
-        workers=workers,
-        json_path=getattr(args, "json", None),
-        csv_path=getattr(args, "csv", None),
-    )
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _run_config(args)
-        payload, code = args.fn(args, cfg)
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, not {args.workers}")
+        args.budget = _resolve_budget(args)
+        payload, code = args.fn(args)
     except PermRFError as err:
         json.dump({"error": type(err).__name__, "detail": str(err)},
                   sys.stderr, indent=2, sort_keys=True)

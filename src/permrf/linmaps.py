@@ -85,10 +85,6 @@ class LinearizedPoly:
         return " + ".join(terms) if terms else "0"
 
 
-def eval_lin(L, x):
-    return L(x)
-
-
 def matrix_of(L):
     """n x n matrix over F_q sending power-basis coordinates through L."""
     tower = L.tower

@@ -1,7 +1,17 @@
 """Batch verification suites with deterministic, serializable reports.
 
-Each suite sweeps a claim over whole fields and returns SuiteReport
-objects.  Sampling is driven by string-seeded generators keyed as
+Each suite is a Suite record: its name, its default q values, the modes
+it accepts, and a plan.  For one q the plan yields one entry per report:
+the tower's field spec, the degree n, the mode label, whether the report
+is assertive, and the report's jobs.  A job is a (case, args) pair; the
+case runs in a worker process and returns (cases, passed, exceptions).
+One driver, Suite.__call__, validates the mode and resolves the budget
+once, then for each planned report runs the jobs through map_ordered in
+order, sums their results and builds the SuiteReport.  SUITES maps each
+name to its record, and run_battery runs a fixed list of (suite, qs,
+mode) in order.
+
+Sampling is driven by string-seeded generators keyed as
 "permrf:<suite>:<q>:<seed>[:<b>]", so a given (suite, q, seed, budget)
 always yields byte-identical canonical JSON.  Wall-clock time is kept
 out of the canonical form; pass include_elapsed to see it.
@@ -17,8 +27,8 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
@@ -33,7 +43,6 @@ from .ratfunc import (
     closed_form_c,
     is_permutation_direct,
     is_permutation_reduced,
-    kernel_criterion,
     lifted_c_set,
     pairwise_criterion,
     remark3_check,
@@ -81,27 +90,6 @@ class SuiteReport:
         return d
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, round-trippable through a plain dict."""
-
-    command: str
-    args: dict = field(default_factory=dict)
-    field_spec: Optional[str] = None
-    seed: int = 0
-    size_budget: int = DEFAULT_SIZE_BUDGET
-    workers: int = 1
-    json_path: Optional[str] = None
-    csv_path: Optional[str] = None
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
 def _exc(tower, b, c, detail, extra=None):
     e = {
         "b": b,
@@ -123,14 +111,79 @@ def _finish(suite, field_spec, q, n, mode, assertive, seed, budget,
         verdict = "report-only"
     return SuiteReport(
         suite=suite, field_spec=field_spec, q=q, n=n, mode=mode,
-        assertive=assertive, seed=seed,
-        size_budget=DEFAULT_SIZE_BUDGET if budget is None else budget,
+        assertive=assertive, seed=seed, size_budget=budget,
         cases_total=cases, cases_passed=passed, exceptions=exceptions,
         verdict=verdict, elapsed=time.perf_counter() - started)
 
 
-def _nonbase(tower):
-    return range(tower.q, tower.size)
+def _tally(outcomes):
+    """(cases, passed, exceptions) from one outcome per case: None for a
+    pass, otherwise the case's exception."""
+    exceptions = [e for e in outcomes if e is not None]
+    return len(outcomes), len(outcomes) - len(exceptions), exceptions
+
+
+def _jobs_per_b(case, tower, *args):
+    """One job per b outside F_q, each passing args followed by b."""
+    return [(case, args + (b,)) for b in range(tower.q, tower.size)]
+
+
+def _sampled_pairs(tower, key, count):
+    """count seeded (b, c) draws, b outside F_q and c nonzero."""
+    rng = random.Random(key)
+    return [(rng.randrange(tower.q, tower.size), rng.randrange(1, tower.size))
+            for _ in range(count)]
+
+
+def _run_job(job):
+    case, args = job
+    return case(args)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One claim swept over the towers of a q.
+
+    plan(q, p, m, mode, seed, budget, samples) yields one
+    (field_spec, n, mode label, assertive, jobs) per report; q, p and m
+    are None for a suite with no default qs, which picks its own fields.
+    Calling the record runs every planned report and returns them.
+    """
+
+    name: str
+    default_qs: tuple
+    modes: tuple
+    plan: Callable
+
+    def __call__(self, q=None, *, seed=0, workers=1, size_budget=None,
+                 mode=None, samples=1000):
+        if mode is not None and mode not in self.modes:
+            if not self.modes:
+                raise UsageError(f"{self.name} takes no mode")
+            raise UsageError(f"{self.name} mode must be "
+                             f"{' or '.join(self.modes)}, not {mode}")
+        budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+        if self.default_qs:
+            p, m = split_prime_power(q)
+        elif q is None:
+            p = m = None
+        else:
+            raise UsageError(f"{self.name} chooses its own fields; drop the q")
+        reports = []
+        started = time.perf_counter()
+        for field_spec, n, label, assertive, jobs in self.plan(
+                q, p, m, mode, seed, budget, samples):
+            cases = passed = 0
+            exceptions = []
+            for nc, np_, exc in map_ordered(_run_job, jobs, workers):
+                cases += nc
+                passed += np_
+                exceptions.extend(exc)
+            reports.append(_finish(self.name, field_spec, q or 0, n, label,
+                                   assertive, seed, budget, cases, passed,
+                                   exceptions, started))
+            started = time.perf_counter()
+        return reports
 
 
 # Degree 2 classification: for every b the permuting numerators are
@@ -186,22 +239,11 @@ def _case_theorem_n2(args):
     return cases, passed, exceptions
 
 
-def run_theorem_n2(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    started = time.perf_counter()
-    p, m = split_prime_power(q)
-    tower = make_tower(p, m, 2, size_budget=size_budget)
+def _plan_theorem_n2(q, p, m, mode, seed, budget, samples):
+    tower = make_tower(p, m, 2, size_budget=budget)
     mode = mode or ("classify" if q <= 9 else "spot")
-    if mode not in ("classify", "spot"):
-        raise UsageError(f"theorem-n2 mode must be classify or spot, not {mode}")
-    jobs = [(p, m, size_budget, q, seed, mode, b) for b in _nonbase(tower)]
-    cases = passed = 0
-    exceptions = []
-    for nc, np_, exc in map_ordered(_case_theorem_n2, jobs, workers):
-        cases += nc
-        passed += np_
-        exceptions.extend(exc)
-    return [_finish("theorem-n2", tower.field_spec, q, 2, mode, True, seed,
-                    size_budget, cases, passed, exceptions, started)]
+    yield (tower.field_spec, 2, mode, True,
+           _jobs_per_b(_case_theorem_n2, tower, p, m, budget, q, seed, mode))
 
 
 # Degree 3: the closed form always permutes (checked on all three
@@ -233,24 +275,11 @@ def _case_theorem_n3(args):
     return 1, 1 if got == [closed] else 0, exceptions
 
 
-def run_theorem_n3(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    started = time.perf_counter()
-    p, m = split_prime_power(q)
-    tower = make_tower(p, m, 3, size_budget=size_budget)
+def _plan_theorem_n3(q, p, m, mode, seed, budget, samples):
+    tower = make_tower(p, m, 3, size_budget=budget)
     mode = mode or "sufficiency"
-    if mode not in ("sufficiency", "full-classify"):
-        raise UsageError(
-            f"theorem-n3 mode must be sufficiency or full-classify, not {mode}")
-    jobs = [(p, m, size_budget, q, seed, mode, b) for b in _nonbase(tower)]
-    cases = passed = 0
-    exceptions = []
-    for nc, np_, exc in map_ordered(_case_theorem_n3, jobs, workers):
-        cases += nc
-        passed += np_
-        exceptions.extend(exc)
-    assertive = mode == "sufficiency"
-    return [_finish("theorem-n3", tower.field_spec, q, 3, mode, assertive,
-                    seed, size_budget, cases, passed, exceptions, started)]
+    yield (tower.field_spec, 3, mode, mode == "sufficiency",
+           _jobs_per_b(_case_theorem_n3, tower, p, m, budget, q, seed, mode))
 
 
 # The kernel term x^q - x: for degree 2 and q > 3 every (b, c) admits a
@@ -261,72 +290,44 @@ def _case_proposition(args):
     p, m, n, budget, b = args
     tower = make_tower(p, m, n, size_budget=budget)
     _check_b(tower, b)
-    exceptions = []
-    cases = passed = 0
     # Every c in 1..size-1 is a valid numerator, so only b needs checking.
-    for c in range(1, tower.size):
-        cases += 1
-        if _first_pair(tower, b, c, 0) is not None:
-            passed += 1
-        else:
-            exceptions.append(_exc(tower, b, c, "no zero-trace pair"))
-    return cases, passed, exceptions
+    return _tally([None if _first_pair(tower, b, c, 0) is not None
+                   else _exc(tower, b, c, "no zero-trace pair")
+                   for c in range(1, tower.size)])
 
 
-def _proposition_single(tower, b, c):
-    exceptions = []
-    if kernel_criterion(tower, b, c).exists:
-        ok = 1
-    else:
-        ok = 0
-        exceptions.append(_exc(tower, b, c, "no zero-trace pair"))
-    return 1, ok, exceptions
+def _case_proposition_sampled(args):
+    p, m, n, budget, q, seed = args
+    tower = make_tower(p, m, n, size_budget=budget)
+    pairs = _sampled_pairs(tower, f"permrf:proposition:{q}:{n}:{seed}", 2000)
+    return _tally([None if _first_pair(tower, b, c, 0) is not None
+                   else _exc(tower, b, c, "no zero-trace pair")
+                   for b, c in pairs])
 
 
-def run_proposition(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    if mode is not None:
-        raise UsageError("proposition takes no mode")
-    p, m = split_prime_power(q)
-    reports = []
+def _case_kernel_term_spot(args):
+    p, m, n, budget, q, seed = args
+    tower = make_tower(p, m, n, size_budget=budget)
+    kernel_term = LinearizedPoly(tower, (tower.top.neg(1), 1))
+    pairs = _sampled_pairs(tower, f"permrf:proposition:{q}:{n}:{seed}:spot", 20)
+    return _tally([
+        _exc(tower, b, c, "map with kernel term permutes")
+        if is_permutation_direct(RatFuncSpec(tower, b, c, kernel_term))
+        else None
+        for b, c in pairs])
+
+
+def _plan_proposition(q, p, m, mode, seed, budget, samples):
     for n in (2, 3):
-        started = time.perf_counter()
-        tower = make_tower(p, m, n, size_budget=size_budget)
-        cases = passed = 0
-        exceptions = []
+        tower = make_tower(p, m, n, size_budget=budget)
         exhaustive = n == 2 or q <= 9
         if exhaustive:
-            jobs = [(p, m, n, size_budget, b) for b in _nonbase(tower)]
-            for nc, np_, exc in map_ordered(_case_proposition, jobs, workers):
-                cases += nc
-                passed += np_
-                exceptions.extend(exc)
+            jobs = _jobs_per_b(_case_proposition, tower, p, m, n, budget)
         else:
-            rng = random.Random(f"permrf:proposition:{q}:{n}:{seed}")
-            for _ in range(2000):
-                b = rng.randrange(tower.q, tower.size)
-                c = rng.randrange(1, tower.size)
-                nc, np_, exc = _proposition_single(tower, b, c)
-                cases += nc
-                passed += np_
-                exceptions.extend(exc)
-        kernel_term = LinearizedPoly(tower, (tower.top.neg(1), 1))
-        rng = random.Random(f"permrf:proposition:{q}:{n}:{seed}:spot")
-        for _ in range(20):
-            cases += 1
-            b = rng.randrange(tower.q, tower.size)
-            c = rng.randrange(1, tower.size)
-            spec = RatFuncSpec(tower, b, c, kernel_term)
-            if is_permutation_direct(spec):
-                exceptions.append(_exc(tower, b, c,
-                                       "map with kernel term permutes"))
-            else:
-                passed += 1
-        assertive = n == 2 and q > 3
-        mode_label = "exhaustive" if exhaustive else "sampled"
-        reports.append(_finish("proposition", tower.field_spec, q, n,
-                               mode_label, assertive, seed, size_budget,
-                               cases, passed, exceptions, started))
-    return reports
+            jobs = [(_case_proposition_sampled, (p, m, n, budget, q, seed))]
+        jobs.append((_case_kernel_term_spot, (p, m, n, budget, q, seed)))
+        yield (tower.field_spec, n, "exhaustive" if exhaustive else "sampled",
+               n == 2 and q > 3, jobs)
 
 
 # The three permutation criteria agree: exhaustively on six small
@@ -355,68 +356,48 @@ def _equiv_pool(limit):
     return pool
 
 
+def _criteria_disagree(tower, b, c):
+    """None when direct, reduced and pairwise agree on (b, c), otherwise
+    the exception."""
+    direct = is_permutation_direct(RatFuncSpec(tower, b, c))
+    reduced = is_permutation_reduced(tower, b, c)
+    pairwise = pairwise_criterion(tower, b, c).ok
+    if direct == reduced == pairwise:
+        return None
+    return _exc(tower, b, c,
+                f"verdicts disagree: direct={direct} reduced={reduced} "
+                f"pairwise={pairwise}",
+                extra={"field_spec": tower.field_spec})
+
+
 def _case_equiv(args):
     p, m, n, budget, b = args
     tower = make_tower(p, m, n, size_budget=budget)
-    exceptions = []
-    cases = passed = 0
-    for c in range(1, tower.size):
-        cases += 1
-        direct = is_permutation_direct(RatFuncSpec(tower, b, c))
-        reduced = is_permutation_reduced(tower, b, c)
-        pairwise = pairwise_criterion(tower, b, c).ok
-        if direct == reduced == pairwise:
-            passed += 1
-        else:
-            exceptions.append(_exc(
-                tower, b, c,
-                f"verdicts disagree: direct={direct} reduced={reduced} "
-                f"pairwise={pairwise}",
-                extra={"field_spec": tower.field_spec}))
-    return cases, passed, exceptions
+    return _tally([_criteria_disagree(tower, b, c)
+                   for c in range(1, tower.size)])
 
 
-def run_lemma_equiv(q=None, *, seed=0, workers=1, size_budget=None,
-                    mode=None, samples=1000):
-    if q is not None:
-        raise UsageError("lemma-equiv chooses its own fields; drop the q")
-    if mode is not None:
-        raise UsageError("lemma-equiv takes no mode")
-    started = time.perf_counter()
-    cases = passed = 0
-    exceptions = []
-    jobs = []
-    for p, m, n in _EQUIV_EXHAUSTIVE:
-        tower = make_tower(p, m, n, size_budget=size_budget)
-        jobs.extend((p, m, n, size_budget, b) for b in _nonbase(tower))
-    for nc, np_, exc in map_ordered(_case_equiv, jobs, workers):
-        cases += nc
-        passed += np_
-        exceptions.extend(exc)
-    limit = 1 << 12
-    if size_budget is not None:
-        limit = min(limit, size_budget)
-    pool = _equiv_pool(limit)
+def _case_equiv_sampled(args):
+    seed, budget, samples = args
+    pool = _equiv_pool(min(1 << 12, budget))
     rng = random.Random(f"permrf:lemma-equiv:{seed}")
+    outcomes = []
     for _ in range(samples):
         p, m, n = pool[rng.randrange(len(pool))]
-        tower = make_tower(p, m, n, size_budget=size_budget)
+        tower = make_tower(p, m, n, size_budget=budget)
         b = rng.randrange(tower.q, tower.size)
         c = rng.randrange(1, tower.size)
-        cases += 1
-        direct = is_permutation_direct(RatFuncSpec(tower, b, c))
-        reduced = is_permutation_reduced(tower, b, c)
-        pairwise = pairwise_criterion(tower, b, c).ok
-        if direct == reduced == pairwise:
-            passed += 1
-        else:
-            exceptions.append(_exc(
-                tower, b, c,
-                f"verdicts disagree: direct={direct} reduced={reduced} "
-                f"pairwise={pairwise}",
-                extra={"field_spec": tower.field_spec}))
-    return [_finish("lemma-equiv", "various", 0, 0, None, True, seed,
-                    size_budget, cases, passed, exceptions, started)]
+        outcomes.append(_criteria_disagree(tower, b, c))
+    return _tally(outcomes)
+
+
+def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
+    jobs = []
+    for field in _EQUIV_EXHAUSTIVE:
+        tower = make_tower(*field, size_budget=budget)
+        jobs += _jobs_per_b(_case_equiv, tower, *field, budget)
+    jobs.append((_case_equiv_sampled, (seed, budget, samples)))
+    yield "various", 0, None, True, jobs
 
 
 # The spanning certificate for 1, b^q + b, b^(q+1) in degree 3: the
@@ -437,21 +418,10 @@ def _case_lemma_basis(args):
                        f"determinant {det} vs closed form {rhs}")]
 
 
-def run_lemma_basis(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    if mode is not None:
-        raise UsageError("lemma-basis takes no mode")
-    started = time.perf_counter()
-    p, m = split_prime_power(q)
-    tower = make_tower(p, m, 3, size_budget=size_budget)
-    jobs = [(p, m, size_budget, b) for b in _nonbase(tower)]
-    cases = passed = 0
-    exceptions = []
-    for nc, np_, exc in map_ordered(_case_lemma_basis, jobs, workers):
-        cases += nc
-        passed += np_
-        exceptions.extend(exc)
-    return [_finish("lemma-basis", tower.field_spec, q, 3, None, True, seed,
-                    size_budget, cases, passed, exceptions, started)]
+def _plan_lemma_basis(q, p, m, mode, seed, budget, samples):
+    tower = make_tower(p, m, 3, size_budget=budget)
+    yield (tower.field_spec, 3, None, True,
+           _jobs_per_b(_case_lemma_basis, tower, p, m, budget))
 
 
 # Grid identities: at the closed form the curves split into conjugate
@@ -511,28 +481,13 @@ def _case_factorizations(args):
     return cases, passed, exceptions
 
 
-def run_factorizations(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    if mode is not None:
-        raise UsageError("factorizations takes no mode")
-    budget_value = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-    p, m = split_prime_power(q)
-    reports = []
+def _plan_factorizations(q, p, m, mode, seed, budget, samples):
     for n in (2, 3):
-        if (q ** n) ** 3 > budget_value:
+        if (q ** n) ** 3 > budget:
             continue
-        started = time.perf_counter()
-        tower = make_tower(p, m, n, size_budget=size_budget)
-        jobs = [(p, m, n, size_budget, q, b) for b in _nonbase(tower)]
-        cases = passed = 0
-        exceptions = []
-        for nc, np_, exc in map_ordered(_case_factorizations, jobs, workers):
-            cases += nc
-            passed += np_
-            exceptions.extend(exc)
-        reports.append(_finish("factorizations", tower.field_spec, q, n,
-                               None, True, seed, size_budget, cases, passed,
-                               exceptions, started))
-    return reports
+        tower = make_tower(p, m, n, size_budget=budget)
+        yield (tower.field_spec, n, None, True,
+               _jobs_per_b(_case_factorizations, tower, p, m, n, budget, q))
 
 
 # Odd characteristic, degree 3: with the closed form the trace of
@@ -547,23 +502,12 @@ def _case_remark3(args):
     return 1, 0, [_exc(tower, b, c, "trace reaches 1 on the (u, v) grid")]
 
 
-def run_remark3(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    if mode is not None:
-        raise UsageError("remark3 takes no mode")
-    started = time.perf_counter()
-    p, m = split_prime_power(q)
+def _plan_remark3(q, p, m, mode, seed, budget, samples):
     if p == 2:
         raise EvenCharacteristic("remark3 needs odd characteristic")
-    tower = make_tower(p, m, 3, size_budget=size_budget)
-    jobs = [(p, m, size_budget, b) for b in _nonbase(tower)]
-    cases = passed = 0
-    exceptions = []
-    for nc, np_, exc in map_ordered(_case_remark3, jobs, workers):
-        cases += nc
-        passed += np_
-        exceptions.extend(exc)
-    return [_finish("remark3", tower.field_spec, q, 3, None, True, seed,
-                    size_budget, cases, passed, exceptions, started)]
+    tower = make_tower(p, m, 3, size_budget=budget)
+    yield (tower.field_spec, 3, None, True,
+           _jobs_per_b(_case_remark3, tower, p, m, budget))
 
 
 # Lifting: b in an intermediate F_{q^d}, any c whose relative trace hits
@@ -585,59 +529,47 @@ def _case_corollary(args):
     return cases, passed, exceptions
 
 
-def run_corollary(q, *, seed=0, workers=1, size_budget=None, mode=None):
-    if mode is not None:
-        raise UsageError("corollary takes no mode")
-    budget_value = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-    p, m = split_prime_power(q)
-    reports = []
+def _plan_corollary(q, p, m, mode, seed, budget, samples):
     for n in (4, 6):
-        if q ** n > budget_value:
+        if q ** n > budget:
             continue
-        started = time.perf_counter()
-        tower = make_tower(p, m, n, size_budget=size_budget)
-        jobs = []
-        for d in (2, 3):
-            if n % d != 0:
-                continue
-            subfield = [b for b in range(tower.q, tower.size)
-                        if tower.in_subfield_enc(b, d)]
-            jobs.extend((p, m, n, size_budget, d, b) for b in subfield)
-        cases = passed = 0
-        exceptions = []
-        for nc, np_, exc in map_ordered(_case_corollary, jobs, workers):
-            cases += nc
-            passed += np_
-            exceptions.extend(exc)
-        reports.append(_finish("corollary", tower.field_spec, q, n, None,
-                               True, seed, size_budget, cases, passed,
-                               exceptions, started))
-    return reports
+        tower = make_tower(p, m, n, size_budget=budget)
+        jobs = [(_case_corollary, (p, m, n, budget, d, b))
+                for d in (2, 3) if n % d == 0
+                for b in range(tower.q, tower.size)
+                if tower.in_subfield_enc(b, d)]
+        yield tower.field_spec, n, None, True, jobs
 
 
-SUITES = {
-    "lemma-equiv": run_lemma_equiv,
-    "lemma-basis": run_lemma_basis,
-    "proposition": run_proposition,
-    "theorem-n2": run_theorem_n2,
-    "theorem-n3": run_theorem_n3,
-    "factorizations": run_factorizations,
-    "remark3": run_remark3,
-    "corollary": run_corollary,
-}
+SUITES = {suite.name: suite for suite in (
+    Suite("lemma-equiv", (), (), _plan_lemma_equiv),
+    Suite("lemma-basis", (2, 3, 4, 5, 7, 8, 9), (), _plan_lemma_basis),
+    Suite("proposition", (4, 5, 7, 8, 9, 11, 13), (), _plan_proposition),
+    Suite("theorem-n2", (2, 3, 4, 5, 7, 8, 9, 11, 13), ("classify", "spot"),
+          _plan_theorem_n2),
+    Suite("theorem-n3", (2, 3, 4, 5, 7), ("sufficiency", "full-classify"),
+          _plan_theorem_n3),
+    Suite("factorizations", (2, 3, 4, 5, 7, 8, 9), (), _plan_factorizations),
+    Suite("remark3", (3, 5, 7, 9), (), _plan_remark3),
+    Suite("corollary", (2, 3), (), _plan_corollary),
+)}
 
-DEFAULT_QS = {
-    "lemma-equiv": (),
-    "lemma-basis": (2, 3, 4, 5, 7, 8, 9),
-    "proposition": (4, 5, 7, 8, 9, 11, 13),
-    "theorem-n2": (2, 3, 4, 5, 7, 8, 9, 11, 13),
-    "theorem-n3": (2, 3, 4, 5, 7),
-    "factorizations": (2, 3, 4, 5, 7, 8, 9),
-    "remark3": (3, 5, 7, 9),
-    "corollary": (2, 3),
-}
+DEFAULT_QS = {name: suite.default_qs for name, suite in SUITES.items()}
 
 FULL_CLASSIFY_QS = (2, 3, 4)
+
+# (suite, qs or None for its defaults, mode) in the order run_battery runs.
+BATTERY = (
+    ("lemma-equiv", None, None),
+    ("lemma-basis", None, None),
+    ("proposition", None, None),
+    ("theorem-n2", None, None),
+    ("theorem-n3", None, None),
+    ("theorem-n3", FULL_CLASSIFY_QS, "full-classify"),
+    ("factorizations", None, None),
+    ("remark3", None, None),
+    ("corollary", None, None),
+)
 
 
 def run_suite(name, qs=None, *, seed=0, workers=1, size_budget=None,
@@ -647,9 +579,9 @@ def run_suite(name, qs=None, *, seed=0, workers=1, size_budget=None,
         raise UsageError(f"unknown suite {name!r}; pick from "
                          f"{', '.join(sorted(SUITES))}")
     runner = SUITES[name]
-    if name == "lemma-equiv":
+    if not DEFAULT_QS[name]:
         if qs:
-            raise UsageError("lemma-equiv chooses its own fields; drop the q")
+            raise UsageError(f"{name} chooses its own fields; drop the q")
         return runner(seed=seed, workers=workers, size_budget=size_budget,
                       mode=mode, samples=samples)
     if qs is None:
@@ -664,19 +596,12 @@ def run_suite(name, qs=None, *, seed=0, workers=1, size_budget=None,
 
 
 def run_battery(*, seed=0, workers=1, size_budget=None, samples=1000):
-    """Every suite at its default q values, in a fixed order."""
+    """Every suite of BATTERY, in order."""
     reports = []
-    reports.extend(run_suite("lemma-equiv", seed=seed, workers=workers,
-                             size_budget=size_budget, samples=samples))
-    for name in ("lemma-basis", "proposition", "theorem-n2", "theorem-n3"):
-        reports.extend(run_suite(name, seed=seed, workers=workers,
-                                 size_budget=size_budget))
-    reports.extend(run_suite("theorem-n3", FULL_CLASSIFY_QS, seed=seed,
-                             workers=workers, size_budget=size_budget,
-                             mode="full-classify"))
-    for name in ("factorizations", "remark3", "corollary"):
-        reports.extend(run_suite(name, seed=seed, workers=workers,
-                                 size_budget=size_budget))
+    for name, qs, mode in BATTERY:
+        reports.extend(run_suite(name, qs, seed=seed, workers=workers,
+                                 size_budget=size_budget, mode=mode,
+                                 samples=samples))
     return reports
 
 

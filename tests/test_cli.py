@@ -246,20 +246,21 @@ def test_verify_canonical_stdout_digest(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the whole battery's canonical stdout and CSV at --workers 1
-# --seed 0, recorded before the exp/log and trace tables were built by
-# precomputed linear steps.
+# sha256 of the whole battery's canonical stdout and CSV at --seed 0,
+# recorded at --workers 1 before the exp/log and trace tables were built
+# by precomputed linear steps; two workers must give the same bytes.
 BATTERY_STDOUT_DIGEST = (
     "1524c28cea98fa863324caba40df4a3342fcde5d6c88ef99bf39b5aa9e809af2")
 BATTERY_CSV_DIGEST = (
     "f2d75d0dac4650c3c89fc7a52c7b4806ff57302e11212580de4ac9c19acfbada")
 
 
-def test_verify_battery_digests(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_battery_digests(capsys, monkeypatch, tmp_path, workers):
     monkeypatch.delenv("PERMRF_BUDGET", raising=False)
     csv_path = tmp_path / "battery.csv"
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
-                             "--workers", "1", "--seed", "0",
+                             "--workers", workers, "--seed", "0",
                              "--csv", str(csv_path))
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == BATTERY_STDOUT_DIGEST

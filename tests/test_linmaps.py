@@ -12,7 +12,6 @@ from helpers import SMALL_TOWERS
 from permrf import (
     LinearizedPoly,
     compose,
-    eval_lin,
     from_matrix,
     invert_lin,
     make_tower,
@@ -73,7 +72,7 @@ def test_call_accepts_elements_and_encodings():
     L = LinearizedPoly(t, (0, 1))
     out = L(t.element("top", 3))
     assert out.enc == 6
-    assert eval_lin(L, 3) == 6
+    assert L(3) == 6
 
 
 def test_matrix_round_trip():

@@ -16,6 +16,7 @@ from permrf import (
     make_tower,
     reports_to_csv,
     reports_to_json,
+    run_battery,
     run_suite,
 )
 from permrf.errors import EvenCharacteristic, NotPrime, UsageError
@@ -23,7 +24,6 @@ from permrf.verify import (
     CSV_COLUMNS,
     DEFAULT_QS,
     FULL_CLASSIFY_QS,
-    RunConfig,
     SUITES,
     map_ordered,
     split_prime_power,
@@ -229,6 +229,28 @@ def test_registry_and_defaults():
             assert qs
 
 
+def test_battery_dispatch_order(monkeypatch):
+    calls = []
+
+    def stub(name):
+        def run(q=None, *, seed=0, workers=1, size_budget=None, mode=None,
+                samples=1000):
+            calls.append((name, q, mode))
+            return []
+        return run
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, stub(name))
+    assert run_battery() == []
+    expected = [("lemma-equiv", None, None)]
+    for name in ("lemma-basis", "proposition", "theorem-n2", "theorem-n3"):
+        expected += [(name, q, None) for q in DEFAULT_QS[name]]
+    expected += [("theorem-n3", q, "full-classify") for q in (2, 3, 4)]
+    for name in ("factorizations", "remark3", "corollary"):
+        expected += [(name, q, None) for q in DEFAULT_QS[name]]
+    assert calls == expected
+
+
 def test_reports_serialize_deterministically():
     a = run_suite("theorem-n2", (3, 4))
     b = run_suite("theorem-n2", (3, 4))
@@ -254,13 +276,6 @@ def test_csv_projection():
     first = lines[1].split(",")
     assert first[0] == "theorem-n3"
     assert first[1] == "2^1:3"
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(command="verify", args={"suite": "theorem-n2"},
-                    field_spec=None, seed=3, size_budget=1 << 20,
-                    workers=2, json_path="out.json", csv_path=None)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_workers_do_not_change_reports():
