@@ -28,7 +28,7 @@ from .bivariate import (
 )
 from .errors import PermRFError, UsageError
 from .gf_core import DEFAULT_SIZE_BUDGET, make_tower
-from .linmaps import LinearizedPoly, rank_kernel_image
+from .linmaps import LinearizedPoly, matrix_of, rank_kernel_image
 from .ratfunc import (
     RatFuncSpec,
     classify_c,
@@ -76,16 +76,12 @@ def _resolve_budget(args):
     return DEFAULT_SIZE_BUDGET
 
 
-def _tower_key(args):
-    """make_tower's positional arguments for the --field and modulus flags."""
+def _tower_for(args):
+    """The tower named by the --field and modulus flags."""
     p, m, n = parse_field_spec(args.field)
     g = _parse_coeffs(args.modulus_g, "--modulus-g") if args.modulus_g else None
     h = _parse_coeffs(args.modulus_h, "--modulus-h") if args.modulus_h else None
-    return p, m, n, g, h, args.budget
-
-
-def _tower_for(args):
-    return make_tower(*_tower_key(args))
+    return make_tower(p, m, n, g, h, args.budget)
 
 
 def _with_pretty(tower, payload, keys):
@@ -108,7 +104,7 @@ def _cmd_field(args):
         "size": tower.size,
         "mid_modulus": list(tower.mid.modulus),
         "top_modulus": list(tower.top.modulus),
-        "frobenius_matrix": [list(r) for r in tower.frobenius_matrix],
+        "frobenius_matrix": matrix_of(LinearizedPoly(tower, (0, 1))),
         "generator": tower.top.generator,
     }
     if args.pretty:
@@ -159,8 +155,7 @@ def _cmd_check(args):
 
 
 def _classify_one(job):
-    key, b, workers, pretty = job
-    tower = make_tower(*key)
+    tower, b, workers, pretty = job
     permuting = classify_c(tower, b, workers=workers)
     try:
         closed = closed_form_c(tower, b)
@@ -178,8 +173,7 @@ def _classify_one(job):
 
 
 def _cmd_classify(args):
-    key = _tower_key(args)
-    tower = make_tower(*key)
+    tower = _tower_for(args)
     if args.all_b:
         bs = list(range(tower.q, tower.size))
     elif args.b is not None:
@@ -190,7 +184,8 @@ def _cmd_classify(args):
     # a single b fans its c range out inside classify_c.
     inner = args.workers if len(bs) == 1 else 1
     results = verify.map_ordered(
-        _classify_one, [(key, b, inner, args.pretty) for b in bs], args.workers)
+        _classify_one, [(tower, b, inner, args.pretty) for b in bs],
+        args.workers)
     payload = {
         "command": "classify",
         "field": tower.field_spec,

@@ -242,6 +242,9 @@ class _ExtField:
             raise InvalidModulus("modulus must have degree at least 1")
         if modulus[-1] != 1:
             raise InvalidModulus("modulus must be monic")
+        if not all(0 <= c < ground.size for c in modulus):
+            raise InvalidModulus(f"modulus {self.modulus} has a coefficient "
+                                 f"outside 0..{ground.size - 1}")
         if not _is_irreducible(ground, list(modulus)):
             raise InvalidModulus(f"modulus {tuple(modulus)} is reducible")
         self.char = ground.char
@@ -550,13 +553,6 @@ class Element:
     def pretty(self):
         return self.tower.pretty_enc(self.level, self.enc)
 
-    def coeffs(self):
-        """Coefficient encodings over the next level down, low to high."""
-        ops = self.tower.ops(self.level)
-        if isinstance(ops, _PrimeField):
-            return (self.enc,)
-        return tuple(ops.digits(self.enc, ops.degree))
-
     def at_level(self, level):
         """The same element re-bound at another level, if it lies there."""
         if level not in LEVELS:
@@ -584,8 +580,11 @@ class FieldTower:
     """Container for the three levels plus the tables keyed to the top one.
 
     Public attributes: p, m, n, q, size, base, mid, top, field_spec,
-    frobenius_matrix, frob_table, trace_table.  Do not construct directly;
-    go through make_tower so instances are shared.
+    frob_table, trace_table.  Do not construct directly; go through
+    make_tower so instances are shared.  A tower pickles (and copies) as
+    its make_tower key, p, m, n, both moduli and the size budget, so it
+    crosses to a worker process in a few dozen bytes and unpickles to
+    that process's cached instance.
     """
 
     def __init__(self, p, m, n, g=None, h=None, size_budget=None):
@@ -614,14 +613,8 @@ class FieldTower:
         self._build_trace()
 
     def _build_frobenius(self):
-        """Matrix of x -> x^q on the power basis 1, v, ..., v^(n-1), and
-        the full permutation table from log(x^q) = q * log(x)."""
-        n, q, top = self.n, self.q, self.top
-        cols = []
-        for j in range(n):
-            image = top.pow(q ** j, q)
-            cols.append(top.digits(image, n))
-        self.frobenius_matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+        """The permutation table of x -> x^q, from log(x^q) = q * log(x)."""
+        q, top = self.q, self.top
         exp, log, order = top._exp, top._log, self.size - 1
         self.frob_table = [0] + [exp[log[x] * q % order]
                                  for x in range(1, self.size)]
@@ -645,6 +638,10 @@ class FieldTower:
                 for i, x in enumerate(islice(table, width), a * width):
                     table[i] = mid.add(x, shift)
         self.trace_table = table
+
+    def __reduce__(self):
+        return make_tower, (self.p, self.m, self.n, self.mid.modulus,
+                            self.top.modulus, self.size_budget)
 
     @property
     def field_spec(self):

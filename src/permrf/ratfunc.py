@@ -47,7 +47,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import Element, FieldTower, dual_basis, make_tower
+from .gf_core import Element, FieldTower, dual_basis
 from .linmaps import LinearizedPoly, invert_lin, rank_kernel_image
 
 
@@ -206,8 +206,7 @@ def kernel_criterion(tower, b, c):
 
 
 def _classify_chunk(args):
-    p, m, n, g, h, budget, b, lo, hi = args
-    tower = make_tower(p, m, n, g=g, h=h, size_budget=budget)
+    tower, b, lo, hi = args
     return [c for c in range(lo, hi) if _first_pair(tower, b, c, 1) is None]
 
 
@@ -227,9 +226,7 @@ def classify_c(tower, b, workers=1):
             f"over the budget {tower.size_budget}")
     chunks = worker_count(workers, tower.size - 1)
     bounds = [1 + (tower.size - 1) * i // chunks for i in range(chunks + 1)]
-    jobs = [(tower.p, tower.m, tower.n, tower.mid.modulus,
-             tower.top.modulus, tower.size_budget, b, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(tower, b, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     return [c for chunk in map_ordered(_classify_chunk, jobs, chunks)
             for c in chunk]
 

@@ -4,9 +4,12 @@ Each suite is a Suite record: its name, its default q values, the modes
 it accepts, and a plan.  For one q the plan yields one entry per report:
 the tower's field spec, the degree n, the mode label, whether the report
 is assertive, and the report's jobs.  A job is a (case, args) pair; the
-case runs in a worker process and returns (cases, passed, exceptions).
-One driver, Suite.__call__, validates the mode and resolves the budget
-once, then for each planned report runs the jobs through map_ordered in
+case runs as case(*args) in a worker process and returns (cases, passed,
+exceptions).  Jobs carry the tower itself, first in args: a tower
+pickles by its make_tower key, so it reaches a worker in a few dozen
+bytes and unpickles to that worker's cached instance.  One driver,
+Suite.__call__, validates the mode and the sample count and resolves
+the budget once, then for each planned report runs the jobs through map_ordered in
 order, sums their results and builds the SuiteReport.  SUITES maps each
 name to its record, and run_battery runs a fixed list of (suite, qs,
 mode) in order.
@@ -124,8 +127,8 @@ def _tally(outcomes):
 
 
 def _jobs_per_b(case, tower, *args):
-    """One job per b outside F_q, each passing args followed by b."""
-    return [(case, args + (b,)) for b in range(tower.q, tower.size)]
+    """One job per b outside F_q, each passing the tower, args and b."""
+    return [(case, (tower, *args, b)) for b in range(tower.q, tower.size)]
 
 
 def _sampled_pairs(tower, key, count):
@@ -137,7 +140,7 @@ def _sampled_pairs(tower, key, count):
 
 def _run_job(job):
     case, args = job
-    return case(args)
+    return case(*args)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,8 @@ class Suite:
                 raise UsageError(f"{self.name} takes no mode")
             raise UsageError(f"{self.name} mode must be "
                              f"{' or '.join(self.modes)}, not {mode}")
+        if samples < 0:
+            raise UsageError(f"samples must be at least 0, not {samples}")
         budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
         if self.default_qs:
             p, m = split_prime_power(q)
@@ -190,12 +195,10 @@ class Suite:
 # exactly the closed form.  Small q classifies exhaustively; larger q
 # verifies the closed form and refutes seeded random alternatives.
 
-def _case_theorem_n2(args):
-    p, m, budget, q, seed, mode, b = args
-    tower = make_tower(p, m, 2, size_budget=budget)
+def _case_theorem_n2(tower, seed, mode, b):
     closed = closed_form_c(tower, b)
     exceptions = []
-    rng = random.Random(f"permrf:theorem-n2:{q}:{seed}:{b}")
+    rng = random.Random(f"permrf:theorem-n2:{tower.q}:{seed}:{b}")
     if mode == "classify":
         got = classify_c(tower, b)
         for c in got:
@@ -243,16 +246,14 @@ def _plan_theorem_n2(q, p, m, mode, seed, budget, samples):
     tower = make_tower(p, m, 2, size_budget=budget)
     mode = mode or ("classify" if q <= 9 else "spot")
     yield (tower.field_spec, 2, mode, True,
-           _jobs_per_b(_case_theorem_n2, tower, p, m, budget, q, seed, mode))
+           _jobs_per_b(_case_theorem_n2, tower, seed, mode))
 
 
 # Degree 3: the closed form always permutes (checked on all three
 # criteria, which must agree); full classification is exploratory
 # because other numerators may also permute.
 
-def _case_theorem_n3(args):
-    p, m, budget, q, seed, mode, b = args
-    tower = make_tower(p, m, 3, size_budget=budget)
+def _case_theorem_n3(tower, mode, b):
     closed = closed_form_c(tower, b)
     exceptions = []
     if mode == "sufficiency":
@@ -279,16 +280,14 @@ def _plan_theorem_n3(q, p, m, mode, seed, budget, samples):
     tower = make_tower(p, m, 3, size_budget=budget)
     mode = mode or "sufficiency"
     yield (tower.field_spec, 3, mode, mode == "sufficiency",
-           _jobs_per_b(_case_theorem_n3, tower, p, m, budget, q, seed, mode))
+           _jobs_per_b(_case_theorem_n3, tower, mode))
 
 
 # The kernel term x^q - x: for degree 2 and q > 3 every (b, c) admits a
 # zero-trace pair, so the map never permutes.  Degree 3 is exploratory;
 # counterexamples are expected and recorded.
 
-def _case_proposition(args):
-    p, m, n, budget, b = args
-    tower = make_tower(p, m, n, size_budget=budget)
+def _case_proposition(tower, b):
     _check_b(tower, b)
     # Every c in 1..size-1 is a valid numerator, so only b needs checking.
     return _tally([None if _first_pair(tower, b, c, 0) is not None
@@ -296,20 +295,18 @@ def _case_proposition(args):
                    for c in range(1, tower.size)])
 
 
-def _case_proposition_sampled(args):
-    p, m, n, budget, q, seed = args
-    tower = make_tower(p, m, n, size_budget=budget)
-    pairs = _sampled_pairs(tower, f"permrf:proposition:{q}:{n}:{seed}", 2000)
+def _case_proposition_sampled(tower, seed):
+    pairs = _sampled_pairs(
+        tower, f"permrf:proposition:{tower.q}:{tower.n}:{seed}", 2000)
     return _tally([None if _first_pair(tower, b, c, 0) is not None
                    else _exc(tower, b, c, "no zero-trace pair")
                    for b, c in pairs])
 
 
-def _case_kernel_term_spot(args):
-    p, m, n, budget, q, seed = args
-    tower = make_tower(p, m, n, size_budget=budget)
+def _case_kernel_term_spot(tower, seed):
     kernel_term = LinearizedPoly(tower, (tower.top.neg(1), 1))
-    pairs = _sampled_pairs(tower, f"permrf:proposition:{q}:{n}:{seed}:spot", 20)
+    pairs = _sampled_pairs(
+        tower, f"permrf:proposition:{tower.q}:{tower.n}:{seed}:spot", 20)
     return _tally([
         _exc(tower, b, c, "map with kernel term permutes")
         if is_permutation_direct(RatFuncSpec(tower, b, c, kernel_term))
@@ -322,10 +319,10 @@ def _plan_proposition(q, p, m, mode, seed, budget, samples):
         tower = make_tower(p, m, n, size_budget=budget)
         exhaustive = n == 2 or q <= 9
         if exhaustive:
-            jobs = _jobs_per_b(_case_proposition, tower, p, m, n, budget)
+            jobs = _jobs_per_b(_case_proposition, tower)
         else:
-            jobs = [(_case_proposition_sampled, (p, m, n, budget, q, seed))]
-        jobs.append((_case_kernel_term_spot, (p, m, n, budget, q, seed)))
+            jobs = [(_case_proposition_sampled, (tower, seed))]
+        jobs.append((_case_kernel_term_spot, (tower, seed)))
         yield (tower.field_spec, n, "exhaustive" if exhaustive else "sampled",
                n == 2 and q > 3, jobs)
 
@@ -370,15 +367,12 @@ def _criteria_disagree(tower, b, c):
                 extra={"field_spec": tower.field_spec})
 
 
-def _case_equiv(args):
-    p, m, n, budget, b = args
-    tower = make_tower(p, m, n, size_budget=budget)
+def _case_equiv(tower, b):
     return _tally([_criteria_disagree(tower, b, c)
                    for c in range(1, tower.size)])
 
 
-def _case_equiv_sampled(args):
-    seed, budget, samples = args
+def _case_equiv_sampled(seed, budget, samples):
     pool = _equiv_pool(min(1 << 12, budget))
     rng = random.Random(f"permrf:lemma-equiv:{seed}")
     outcomes = []
@@ -395,7 +389,7 @@ def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
     jobs = []
     for field in _EQUIV_EXHAUSTIVE:
         tower = make_tower(*field, size_budget=budget)
-        jobs += _jobs_per_b(_case_equiv, tower, *field, budget)
+        jobs += _jobs_per_b(_case_equiv, tower)
     jobs.append((_case_equiv_sampled, (seed, budget, samples)))
     yield "various", 0, None, True, jobs
 
@@ -403,9 +397,7 @@ def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
 # The spanning certificate for 1, b^q + b, b^(q+1) in degree 3: the
 # conjugate determinant is nonzero and equals N(b) Tr(b^(q-1) - b^(q^2-1)).
 
-def _case_lemma_basis(args):
-    p, m, budget, b = args
-    tower = make_tower(p, m, 3, size_budget=budget)
+def _case_lemma_basis(tower, b):
     top = tower.top
     q = tower.q
     det = basis_det_b(tower, b).enc
@@ -421,20 +413,18 @@ def _case_lemma_basis(args):
 def _plan_lemma_basis(q, p, m, mode, seed, budget, samples):
     tower = make_tower(p, m, 3, size_budget=budget)
     yield (tower.field_spec, 3, None, True,
-           _jobs_per_b(_case_lemma_basis, tower, p, m, budget))
+           _jobs_per_b(_case_lemma_basis, tower))
 
 
 # Grid identities: at the closed form the curves split into conjugate
 # bilinear factors, and for degree 2 only there.
 
-def _case_factorizations(args):
-    p, m, n, budget, q, b = args
-    tower = make_tower(p, m, n, size_budget=budget)
-    top = tower.top
+def _case_factorizations(tower, b):
+    top, q = tower.top, tower.q
     closed = closed_form_c(tower, b)
     exceptions = []
     cases = passed = 0
-    if n == 2:
+    if tower.n == 2:
         f = build_f2(tower, b, closed)
         bq = tower.frob_enc(b)
         delta = top.sub(tower.trace_enc(top.mul(b, b)), tower.norm_enc(b))
@@ -487,15 +477,13 @@ def _plan_factorizations(q, p, m, mode, seed, budget, samples):
             continue
         tower = make_tower(p, m, n, size_budget=budget)
         yield (tower.field_spec, n, None, True,
-               _jobs_per_b(_case_factorizations, tower, p, m, n, budget, q))
+               _jobs_per_b(_case_factorizations, tower))
 
 
 # Odd characteristic, degree 3: with the closed form the trace of
 # c/(u + b v + b^2) misses 1 on all of F_q x F_q.
 
-def _case_remark3(args):
-    p, m, budget, b = args
-    tower = make_tower(p, m, 3, size_budget=budget)
+def _case_remark3(tower, b):
     c = closed_form_c(tower, b)
     if remark3_check(tower, b, c):
         return 1, 1, []
@@ -507,15 +495,13 @@ def _plan_remark3(q, p, m, mode, seed, budget, samples):
         raise EvenCharacteristic("remark3 needs odd characteristic")
     tower = make_tower(p, m, 3, size_budget=budget)
     yield (tower.field_spec, 3, None, True,
-           _jobs_per_b(_case_remark3, tower, p, m, budget))
+           _jobs_per_b(_case_remark3, tower))
 
 
 # Lifting: b in an intermediate F_{q^d}, any c whose relative trace hits
 # the closed form, and the map permutes the whole top field.
 
-def _case_corollary(args):
-    p, m, n, budget, d, b = args
-    tower = make_tower(p, m, n, size_budget=budget)
+def _case_corollary(tower, d, b):
     exceptions = []
     cases = passed = 0
     for c in lifted_c_set(tower, b, d):
@@ -534,7 +520,7 @@ def _plan_corollary(q, p, m, mode, seed, budget, samples):
         if q ** n > budget:
             continue
         tower = make_tower(p, m, n, size_budget=budget)
-        jobs = [(_case_corollary, (p, m, n, budget, d, b))
+        jobs = [(_case_corollary, (tower, d, b))
                 for d in (2, 3) if n % d == 0
                 for b in range(tower.q, tower.size)
                 if tower.in_subfield_enc(b, d)]

@@ -303,6 +303,13 @@ def test_verify_assertive_failure_exits_one(capsys, monkeypatch):
     assert payload[0]["verdict"] == "fail"
 
 
+def test_verify_rejects_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma-equiv",
+                             "--samples", "-3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_verify_suite_all_rejects_q(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--q", "3")
     assert code == 2
@@ -338,6 +345,10 @@ def test_custom_modulus_flags(capsys):
     code, _, err = run_cli(capsys, "field", "--field", "2:2",
                            "--modulus-h", "1,0,1")
     assert code == 2
+    assert json.loads(err)["error"] == "InvalidModulus"
+    code, out, err = run_cli(capsys, "field", "--field", "3:2",
+                             "--modulus-h", "5,0,1")
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidModulus"
 
 

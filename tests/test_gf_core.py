@@ -5,7 +5,9 @@ schoolbook polynomial products with trial-division irreducibility,
 no shared code with the package.
 """
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, strategies as st
 from helpers import SMALL_TOWERS, tower_and_elements, towers
 from permrf import (
     Element,
+    LinearizedPoly,
     basis_det_b,
     dual_basis,
     frobenius,
@@ -21,6 +24,7 @@ from permrf import (
     invert,
     is_in_subfield,
     make_tower,
+    matrix_of,
     norm,
     trace,
     trace_rel,
@@ -170,13 +174,14 @@ def test_frobenius_matrix_realizes_qth_power():
         t = make_tower(*params)
         mid = t.ops("mid")
         top = t.ops("top")
+        matrix = matrix_of(LinearizedPoly(t, (0, 1)))
         for x in t.elements("top"):
             digits = top.digits(x, t.n)
             image = [0] * t.n
             for j, d in enumerate(digits):
                 for i in range(t.n):
                     image[i] = digit_add(
-                        t.p, image[i], mid.mul(t.frobenius_matrix[i][j], d))
+                        t.p, image[i], mid.mul(matrix[i][j], d))
             assert top.undigits(image) == t.frob_enc(x) == top.pow(x, t.q)
 
 
@@ -343,6 +348,12 @@ def test_constructor_validation():
         make_tower(2, 1, 2, h=(1, 0, 1))
     with pytest.raises(InvalidModulus):
         make_tower(2, 1, 2, h=(1, 1, 2))
+    # Coefficients must be encodings in the coefficient field; 5 is not
+    # one in F_3 (read as 2 mod 3, this g would build a second F_9).
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 1, 2, h=(5, 0, 1))
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 2, 2, g=(5, 1, 1))
 
 
 def test_custom_modulus_accepted():
@@ -597,3 +608,13 @@ def test_make_tower_resolves_defaults_before_caching():
     assert make_tower(3, 1, 2, g=(1, 1)) is not t
     nested = make_tower(3, 2, 2)
     assert make_tower(3, 2, 2, g=(1, 0, 1), h=(4, 0, 1)) is nested
+
+
+def test_tower_pickles_to_its_cached_instance():
+    for t in (make_tower(3, 1, 2), make_tower(3, 1, 2, g=(1, 1)),
+              make_tower(3, 1, 2, h=(2, 2, 1)),
+              make_tower(3, 2, 2, g=(2, 1, 1)),
+              make_tower(2, 1, 3, size_budget=10 ** 6)):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t
+    assert len(pickle.dumps(make_tower(2, 1, 12))) < 128

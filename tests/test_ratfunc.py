@@ -102,8 +102,12 @@ def test_classify_frozen_f9():
 
 
 def test_classify_workers_agree():
-    t = make_tower(3, 1, 2)
-    assert classify_c(t, 3, workers=2) == classify_c(t, 3)
+    # At b = 27 the custom tower's closed form differs from the canonical
+    # 3^2:2 tower's, so a worker that computed on the canonical tower
+    # would disagree.
+    custom = make_tower(3, 2, 2, g=(2, 1, 1), h=(4, 0, 1))
+    for t, b in ((make_tower(3, 1, 2), 3), (custom, 27)):
+        assert classify_c(t, b, workers=2) == classify_c(t, b)
 
 
 def test_classify_budget_gate():

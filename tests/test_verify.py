@@ -4,6 +4,7 @@ serialization.
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -20,7 +21,9 @@ from permrf import (
     run_suite,
 )
 from permrf.errors import EvenCharacteristic, NotPrime, UsageError
+from permrf.gf_core import DEFAULT_SIZE_BUDGET
 from permrf.verify import (
+    BATTERY,
     CSV_COLUMNS,
     DEFAULT_QS,
     FULL_CLASSIFY_QS,
@@ -164,6 +167,8 @@ def test_lemma_equiv_counts():
     assert (r.q, r.n) == (0, 0)
     assert r.cases_total == 1380 + 25
     assert r.verdict == "pass"
+    (r,) = run_suite("lemma-equiv", samples=0)
+    assert r.cases_total == 1380
 
 
 def test_lemma_basis_counts():
@@ -219,6 +224,8 @@ def test_run_suite_validation():
         run_suite("theorem-n2", (3,), mode="nonesuch")
     with pytest.raises(UsageError):
         run_suite("proposition", (4,), mode="exhaustive")
+    with pytest.raises(UsageError):
+        run_suite("lemma-equiv", samples=-3)
 
 
 def test_registry_and_defaults():
@@ -249,6 +256,22 @@ def test_battery_dispatch_order(monkeypatch):
     for name in ("factorizations", "remark3", "corollary"):
         expected += [(name, q, None) for q in DEFAULT_QS[name]]
     assert calls == expected
+
+
+def test_battery_jobs_pickle_small():
+    # Jobs carry their tower, which pickles by its make_tower key, not by
+    # its tables.  Plans only; no job runs.
+    jobs = 0
+    for name, qs, mode in BATTERY:
+        suite = SUITES[name]
+        for q in qs or suite.default_qs or (None,):
+            p, m = split_prime_power(q) if q else (None, None)
+            for *_, planned in suite.plan(q, p, m, mode, 0,
+                                          DEFAULT_SIZE_BUDGET, 1000):
+                for job in planned:
+                    assert len(pickle.dumps(job)) < 256
+                    jobs += 1
+    assert jobs > 0
 
 
 def test_reports_serialize_deterministically():
