@@ -214,10 +214,8 @@ def build_f3(tower, b, c):
     if tower.n != 3:
         raise UnsupportedDegree("this curve is specific to degree 3")
     b, c = _checked_bc(tower, b, c)
-    w = _shifted_product(tower, b)
-    cqq = tower.frob_enc(c, 2)
-    kern = trace_poly(scalar_mul(_quartic_product(tower, b), cqq))
-    return sub(norm_poly(w), kern).expect_bidegree(3, 3)
+    return sub(norm_poly(_shifted_product(tower, b)),
+               build_f3_kernel(tower, b, c)).expect_bidegree(3, 3)
 
 
 def build_f3_kernel(tower, b, c):

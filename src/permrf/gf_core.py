@@ -242,9 +242,11 @@ class _ExtField:
             raise InvalidModulus("modulus must have degree at least 1")
         if modulus[-1] != 1:
             raise InvalidModulus("modulus must be monic")
-        if not all(0 <= c < ground.size for c in modulus):
+        if not all(isinstance(c, int) and 0 <= c < ground.size
+                   for c in modulus):
             raise InvalidModulus(f"modulus {self.modulus} has a coefficient "
-                                 f"outside 0..{ground.size - 1}")
+                                 f"that is not an integer in "
+                                 f"0..{ground.size - 1}")
         if not _is_irreducible(ground, list(modulus)):
             raise InvalidModulus(f"modulus {tuple(modulus)} is reducible")
         self.char = ground.char
@@ -777,6 +779,9 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
     if g is not None or h is not None:
         _check_tower_params(p, m, n, budget)
+        # 2.0 == 2 would share a cache key with a tower already built.
+        if not all(isinstance(c, int) for c in (*(g or ()), *(h or ()))):
+            raise InvalidModulus("modulus coefficients must be integers")
         canon_g = _canonical_g(p, m)
         g = None if g is None or tuple(g) == canon_g else tuple(g)
         # A g of the wrong degree is left for FieldTower to refuse.
@@ -860,9 +865,9 @@ def dual_basis(tower, basis):
 def basis_det_b(tower, b):
     """Determinant certifying that 1, b^q + b, b^(q+1) spans F_{q^3} over F_q.
 
-    Rows are the sigma-conjugates of that triple; the determinant is taken
-    over the top field and always lands in F_q.  Only degree 3 towers
-    qualify; b must be outside F_q.
+    Rows are the sigma-conjugates of that triple; the determinant, expanded
+    by cofactors along the first row over the top field, always lands in
+    F_q.  Only degree 3 towers qualify; b must be outside F_q.
     """
     if tower.n != 3:
         raise UnsupportedDegree("the spanning triple is specific to degree 3")
@@ -873,9 +878,13 @@ def basis_det_b(tower, b):
         raise BInBaseField("b must lie outside F_q")
     top = tower.top
     bq = tower.frob_enc(enc)
-    row = [1, top.add(bq, enc), top.mul(bq, enc)]
-    rows = [row]
-    for _ in range(2):
-        row = [tower.frob_enc(x) for x in row]
-        rows.append(row)
-    return Element(tower, "top", _linalg.det(top, rows))
+    r0 = [1, top.add(bq, enc), top.mul(bq, enc)]
+    r1 = [tower.frob_enc(x) for x in r0]
+    r2 = [tower.frob_enc(x) for x in r1]
+    det = 0
+    for j in range(3):
+        # Cyclic indices carry the cofactor signs +, -, +.
+        k, l = (j + 1) % 3, (j + 2) % 3
+        minor = top.sub(top.mul(r1[k], r2[l]), top.mul(r1[l], r2[k]))
+        det = top.add(det, top.mul(r0[j], minor))
+    return Element(tower, "top", det)

@@ -3,9 +3,10 @@
 A map is stored as the coefficient tuple (a_0, ..., a_(n-1)) of
 a_0 x + a_1 x^q + ... + a_(n-1) x^(q^(n-1)), each a_i a top-level
 encoding.  Exponents fold modulo n on construction because x^(q^n) = x
-on the top field.  The matrix view (n x n over F_q, acting on power-basis
-coordinates) carries rank, kernel, image and inversion; the Moore system
-on the power basis converts a matrix back to coefficients.
+on the top field, so composition works on the coefficients directly.  The
+matrix view (n x n over F_q, acting on power-basis coordinates) serves
+rank, kernel, image and inversion only; the Moore system on the power
+basis converts an inverse matrix back to coefficients.
 """
 
 from dataclasses import dataclass, field
@@ -104,8 +105,7 @@ def from_matrix(tower, matrix):
     moore = []
     targets = []
     for j in range(n):
-        vj = q ** j if n > 1 else 1
-        moore.append([tower.frob_enc(vj, i) for i in range(n)])
+        moore.append([tower.frob_enc(q ** j, i) for i in range(n)])
         targets.append(top.undigits([matrix[i][j] for i in range(n)]))
     coeffs = _linalg.solve(top, moore, targets)
     if coeffs is None:
@@ -114,9 +114,20 @@ def from_matrix(tower, matrix):
 
 
 def compose(outer, inner):
-    """The map x -> outer(inner(x))."""
-    m = _linalg.matmul(outer.tower.mid, matrix_of(outer), matrix_of(inner))
-    return from_matrix(outer.tower, m)
+    """The map x -> outer(inner(x)).
+
+    a_i (b_j x^(q^j))^(q^i) = a_i b_j^(q^i) x^(q^(i+j)); LinearizedPoly
+    folds the exponents i + j >= n back modulo n.
+    """
+    tower = outer.tower
+    top = tower.top
+    n = tower.n
+    coeffs = [0] * (2 * n - 1)
+    for i, a in enumerate(outer.coeffs):
+        for j, b in enumerate(inner.coeffs):
+            coeffs[i + j] = top.add(coeffs[i + j],
+                                    top.mul(a, tower.frob_enc(b, i)))
+    return LinearizedPoly(tower, tuple(coeffs))
 
 
 def rank_kernel_image(L):
@@ -139,20 +150,34 @@ def invert_lin(L):
 
 
 def complete_basis(tower, vectors):
-    """Extend independent top elements to a basis, preferring low encodings."""
-    ech = _linalg.Echelon(tower.mid)
+    """Extend independent top elements to a basis, preferring low encodings.
+
+    When every encoding below q^k lies in the span, those from q^k to
+    q^(k+1) - 1 lie in it exactly when q^k does; so trying v^0 .. v^(n-1)
+    in turn yields the least fill-ins.
+    """
+    vectors = list(vectors)
     out = []
-    n = tower.n
-    for enc in vectors:
-        if not ech.add(tower.top.digits(enc, n)):
+    for i, enc in enumerate(vectors + [tower.q ** k for k in range(tower.n)]):
+        rows = [tower.top.digits(e, tower.n) for e in out + [enc]]
+        if len(_linalg.rref(tower.mid, rows)[1]) > len(out):
+            out.append(enc)
+        elif i < len(vectors):
             raise OutOfRange(f"encoding {enc} is dependent on the others")
-        out.append(enc)
-    cand = 1
-    while len(out) < n:
-        if ech.add(tower.top.digits(cand, n)):
-            out.append(cand)
-        cand += 1
     return out
+
+
+def _trace_dual(tower, form):
+    """The beta with Tr(beta * x) = form(x) for an F_q-linear form.
+
+    beta = sum form(v^k) d_k over the dual (d_k) of the power basis.
+    """
+    top = tower.top
+    powers = [tower.q ** k for k in range(tower.n)]
+    beta = 0
+    for vk, dk in zip(powers, dual_basis(tower, powers)):
+        beta = top.add(beta, top.mul(form(vk), dk.enc))
+    return beta
 
 
 def trace_decompose(L):
@@ -163,20 +188,14 @@ def trace_decompose(L):
     alpha_i composed with L.
     """
     tower = L.tower
-    n, q = tower.n, tower.q
     top = tower.top
     rank_, _, image = rank_kernel_image(L)
     if rank_ == 0:
         return []
-    completed = complete_basis(tower, image)
-    duals = dual_basis(tower, completed)
-    power_duals = dual_basis(tower, [q ** j if n > 1 else 1 for j in range(n)])
+    duals = dual_basis(tower, complete_basis(tower, image))
     pairs = []
     for i in range(rank_):
-        beta = 0
-        for k in range(n):
-            vk = q ** k if n > 1 else 1
-            t = tower.trace_enc(top.mul(duals[i].enc, L.eval_enc(vk)))
-            beta = top.add(beta, top.mul(t, power_duals[k].enc))
+        beta = _trace_dual(tower, lambda x: tower.trace_enc(
+            top.mul(duals[i].enc, L.eval_enc(x))))
         pairs.append((Element(tower, "top", image[i]), Element(tower, "top", beta)))
     return pairs

@@ -47,8 +47,8 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import Element, FieldTower, dual_basis
-from .linmaps import LinearizedPoly, invert_lin, rank_kernel_image
+from .gf_core import Element, FieldTower
+from .linmaps import LinearizedPoly, _trace_dual, invert_lin, rank_kernel_image
 
 
 def _enc(x):
@@ -285,15 +285,8 @@ def normalize_spec(spec):
     if spec.L.is_identity:
         return spec, 1
     linv = invert_lin(spec.L)
-    n, q = tower.n, tower.q
-    power_basis = [q ** j if n > 1 else 1 for j in range(n)]
-    duals = dual_basis(tower, power_basis)
-    alpha = 0
-    top = tower.top
-    for j in range(n):
-        t = tower.trace_enc(linv.eval_enc(power_basis[j]))
-        alpha = top.add(alpha, top.mul(t, duals[j].enc))
-    return RatFuncSpec(tower, spec.b, top.mul(alpha, spec.c)), alpha
+    alpha = _trace_dual(tower, lambda x: tower.trace_enc(linv.eval_enc(x)))
+    return RatFuncSpec(tower, spec.b, tower.top.mul(alpha, spec.c)), alpha
 
 
 def is_permutation(spec):

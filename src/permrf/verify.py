@@ -577,7 +577,8 @@ def run_suite(name, qs=None, *, seed=0, workers=1, size_budget=None,
     reports = []
     for q in qs:
         reports.extend(runner(q, seed=seed, workers=workers,
-                              size_budget=size_budget, mode=mode))
+                              size_budget=size_budget, mode=mode,
+                              samples=samples))
     return reports
 
 

@@ -285,7 +285,8 @@ def test_verify_report_only_exit_zero(capsys):
 
 
 def test_verify_assertive_failure_exits_one(capsys, monkeypatch):
-    def failing(q, *, seed=0, workers=1, size_budget=None, mode=None):
+    def failing(q=None, *, seed=0, workers=1, size_budget=None, mode=None,
+                samples=1000):
         return [SuiteReport(
             suite="lemma-basis", field_spec="3^1:3", q=q, n=3, mode=None,
             assertive=True, seed=seed, size_budget=1 << 24, cases_total=1,
@@ -306,6 +307,11 @@ def test_verify_assertive_failure_exits_one(capsys, monkeypatch):
 def test_verify_rejects_negative_samples(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "lemma-equiv",
                              "--samples", "-3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    # Suites with default qs check samples too, though none of them reads it.
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem-n2",
+                             "--q", "3", "--samples", "-3")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UsageError"
 

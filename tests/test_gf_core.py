@@ -354,6 +354,15 @@ def test_constructor_validation():
         make_tower(3, 1, 2, h=(5, 0, 1))
     with pytest.raises(InvalidModulus):
         make_tower(3, 2, 2, g=(5, 1, 1))
+    # A float coefficient is no encoding, even when it equals the
+    # coefficient of a tower that is already cached.
+    make_tower(3, 2, 2, g=(2, 1, 1))
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 1, 2, h=(2.0, 0, 1))
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 2, 2, g=(2.0, 1, 1))
+    with pytest.raises(InvalidModulus):
+        gf_core.FieldTower(3, 2, 2, g=(2.0, 1, 1))
 
 
 def test_custom_modulus_accepted():
@@ -500,7 +509,7 @@ def test_basis_det_f8():
 
 
 def test_basis_det_matches_closed_form():
-    for params in ((2, 1, 3), (3, 1, 3)):
+    for params in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3)):
         t = make_tower(*params)
         top = t.ops("top")
         q = t.q

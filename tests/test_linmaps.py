@@ -92,14 +92,18 @@ def test_matrix_of_identity():
 
 
 def test_compose_matches_pointwise():
-    t = make_tower(3, 1, 2)
+    # Degree 3 wraps i + j past n; 2^2:3 has a middle field that is not prime.
     rng = random.Random("linmaps-compose")
-    for _ in range(10):
-        f = LinearizedPoly(t, tuple(rng.randrange(9) for _ in range(2)))
-        g = LinearizedPoly(t, tuple(rng.randrange(9) for _ in range(2)))
-        fg = compose(f, g)
-        for x in t.elements("top"):
-            assert fg.eval_enc(x) == f.eval_enc(g.eval_enc(x))
+    for params in ((3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3)):
+        t = make_tower(*params)
+        for _ in range(10):
+            f = LinearizedPoly(t, tuple(rng.randrange(t.size)
+                                        for _ in range(t.n)))
+            g = LinearizedPoly(t, tuple(rng.randrange(t.size)
+                                        for _ in range(t.n)))
+            fg = compose(f, g)
+            for x in t.elements("top"):
+                assert fg.eval_enc(x) == f.eval_enc(g.eval_enc(x))
 
 
 def test_rank_kernel_image_frozen():
@@ -149,6 +153,10 @@ def test_complete_basis():
                                    for v in full]))))
     assert rank == 3
     assert full[0] == 3
+    # v itself lies in the span, so the fill-ins skip it: 1, then v^2.
+    assert full == [3, 1, 4]
+    with pytest.raises(OutOfRange, match="encoding 3 is dependent"):
+        complete_basis(t, [1, 2, 4, 3])
 
 
 def test_trace_decompose_frozen_f4():

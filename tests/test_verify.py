@@ -226,6 +226,8 @@ def test_run_suite_validation():
         run_suite("proposition", (4,), mode="exhaustive")
     with pytest.raises(UsageError):
         run_suite("lemma-equiv", samples=-3)
+    with pytest.raises(UsageError):
+        run_suite("theorem-n2", (3,), samples=-3)
 
 
 def test_registry_and_defaults():
