@@ -2,8 +2,8 @@
 
 Matrices are lists of rows; entries are integer encodings understood by an
 ops object exposing sub, mul, neg, inv.  Encoding 0 must be the additive
-identity and encoding 1 the multiplicative identity.  Every routine runs
-on rref, the one elimination here; rank is the length of its pivot list.
+identity and encoding 1 the multiplicative identity.  Inverse, kernel and
+column space run on rref, the one elimination here; rank is its pivot count.
 Everything is deterministic: pivots are chosen left to right, free
 variables low to high.
 """
@@ -47,20 +47,6 @@ def inv_matrix(ops, a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
-
-
-def solve(ops, a, b):
-    """One solution x of a·x = b, or None if inconsistent."""
-    n = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    red, pivots = rref(ops, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = red[r][ncols]
-    return x
 
 
 def nullspace(ops, rows):

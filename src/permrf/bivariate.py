@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
-from .gf_core import FieldTower
-from .ratfunc import _checked_bc, _enc
+from .gf_core import FieldTower, _enc
+from .ratfunc import _checked_bc
 
 
 def _trim(grid):

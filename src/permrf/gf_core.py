@@ -69,21 +69,6 @@ _MAX_CHUNK = 256
 LEVELS = ("base", "mid", "top")
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class _PrimeField:
     """F_p with encodings 0..p-1; arithmetic is plain modular arithmetic."""
 
@@ -568,8 +553,21 @@ class Element:
             f"{self.level} encoding {self.enc} does not lie in {level}")
 
 
+def _enc(x):
+    return x.enc if isinstance(x, Element) else x
+
+
+def _check_b(tower, b):
+    if not 0 <= b < tower.size:
+        raise OutOfRange(f"b encoding {b} outside field of size {tower.size}")
+    if b == 0:
+        raise BZero("b must be nonzero")
+    if b < tower.q:
+        raise BInBaseField("b must lie outside F_q")
+
+
 def _check_tower_params(p, m, n, budget):
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _factor_int(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1 or n < 1:
         raise DegreeZero("extension degrees must be at least 1")
@@ -845,7 +843,7 @@ def dual_basis(tower, basis):
     which happens exactly when the inputs fail to be a basis.
     """
     n = tower.n
-    encs = [b.enc if isinstance(b, Element) else b for b in basis]
+    encs = [_enc(b) for b in basis]
     if len(encs) != n:
         raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
     gram = [[tower.trace_enc(tower.top.mul(bi, bj)) for bj in encs]
@@ -871,11 +869,8 @@ def basis_det_b(tower, b):
     """
     if tower.n != 3:
         raise UnsupportedDegree("the spanning triple is specific to degree 3")
-    enc = b.enc if isinstance(b, Element) else b
-    if enc == 0:
-        raise BZero("b must be nonzero")
-    if enc < tower.q:
-        raise BInBaseField("b must lie outside F_q")
+    enc = _enc(b)
+    _check_b(tower, enc)
     top = tower.top
     bq = tower.frob_enc(enc)
     r0 = [1, top.add(bq, enc), top.mul(bq, enc)]

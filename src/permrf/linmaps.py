@@ -5,15 +5,19 @@ a_0 x + a_1 x^q + ... + a_(n-1) x^(q^(n-1)), each a_i a top-level
 encoding.  Exponents fold modulo n on construction because x^(q^n) = x
 on the top field, so composition works on the coefficients directly.  The
 matrix view (n x n over F_q, acting on power-basis coordinates) serves
-rank, kernel, image and inversion only; the Moore system on the power
-basis converts an inverse matrix back to coefficients.
+rank, kernel, image and inversion only; the dual of the power basis turns
+a matrix back into coefficients.
+
+The trace form is nondegenerate, so every map L has one adjoint L* with
+Tr(y * L(x)) = Tr(L*(y) * x).  Tr is invariant under x -> x^q, so L* has
+a_i^(q^k) at x^(q^k) for k = -i mod n, and trace duals need no solve.
 """
 
 from dataclasses import dataclass, field
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
-from .gf_core import Element, FieldTower, dual_basis
+from .gf_core import Element, FieldTower, _enc, dual_basis
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class LinearizedPoly:
 
     @classmethod
     def scaling(cls, tower, a):
-        return cls(tower, (a.enc if isinstance(a, Element) else a,))
+        return cls(tower, (_enc(a),))
 
     @classmethod
     def frobenius_power(cls, tower, i):
@@ -97,19 +101,19 @@ def matrix_of(L):
 def from_matrix(tower, matrix):
     """The linearized polynomial acting as the given matrix on coordinates.
 
-    Solves the Moore system sum_i a_i (v^j)^(q^i) = y_j over the top field,
-    where y_j is column j read back as an element.
+    With w_j column j read back as an element and (d_j) the dual of the
+    power basis, x = sum_j Tr(d_j x) v^j, so L(x) = sum_j w_j Tr(d_j x)
+    and a_i = sum_j w_j d_j^(q^i).
     """
     n, q = tower.n, tower.q
     top = tower.top
-    moore = []
-    targets = []
-    for j in range(n):
-        moore.append([tower.frob_enc(q ** j, i) for i in range(n)])
-        targets.append(top.undigits([matrix[i][j] for i in range(n)]))
-    coeffs = _linalg.solve(top, moore, targets)
-    if coeffs is None:
-        raise OutOfRange("Moore system of the power basis is singular")
+    duals = [d.enc for d in dual_basis(tower, [q ** j for j in range(n)])]
+    coeffs = [0] * n
+    for j, d in enumerate(duals):
+        w = top.undigits([matrix[i][j] for i in range(n)])
+        for i in range(n):
+            coeffs[i] = top.add(coeffs[i], top.mul(w, d))
+            d = tower.frob_table[d]
     return LinearizedPoly(tower, tuple(coeffs))
 
 
@@ -157,6 +161,9 @@ def complete_basis(tower, vectors):
     in turn yields the least fill-ins.
     """
     vectors = list(vectors)
+    for enc in vectors:
+        if not 0 <= enc < tower.size:
+            raise OutOfRange(f"encoding {enc} is not a top encoding")
     out = []
     for i, enc in enumerate(vectors + [tower.q ** k for k in range(tower.n)]):
         rows = [tower.top.digits(e, tower.n) for e in out + [enc]]
@@ -167,35 +174,30 @@ def complete_basis(tower, vectors):
     return out
 
 
-def _trace_dual(tower, form):
-    """The beta with Tr(beta * x) = form(x) for an F_q-linear form.
-
-    beta = sum form(v^k) d_k over the dual (d_k) of the power basis.
-    """
-    top = tower.top
-    powers = [tower.q ** k for k in range(tower.n)]
-    beta = 0
-    for vk, dk in zip(powers, dual_basis(tower, powers)):
-        beta = top.add(beta, top.mul(form(vk), dk.enc))
-    return beta
+def _adjoint(L):
+    """The map L* with Tr(y * L(x)) = Tr(L*(y) * x) for all x, y."""
+    tower = L.tower
+    n = tower.n
+    coeffs = [0] * n
+    for i, a in enumerate(L.coeffs):
+        k = -i % n
+        coeffs[k] = tower.frob_enc(a, k)
+    return LinearizedPoly(tower, tuple(coeffs))
 
 
 def trace_decompose(L):
     """Write L(x) as sum alpha_i Tr(beta_i x) with independent alpha_i.
 
     Returns rank-many (alpha_i, beta_i) pairs of top elements.  The alpha_i
-    are the image basis; each beta_i realizes the coordinate form along
-    alpha_i composed with L.
+    are the image basis; with (d_i) the dual of its completion to a basis,
+    the coordinate along alpha_i is Tr(d_i L(x)) = Tr(L*(d_i) x), so
+    beta_i = L*(d_i).
     """
     tower = L.tower
-    top = tower.top
     rank_, _, image = rank_kernel_image(L)
     if rank_ == 0:
         return []
     duals = dual_basis(tower, complete_basis(tower, image))
-    pairs = []
-    for i in range(rank_):
-        beta = _trace_dual(tower, lambda x: tower.trace_enc(
-            top.mul(duals[i].enc, L.eval_enc(x))))
-        pairs.append((Element(tower, "top", image[i]), Element(tower, "top", beta)))
-    return pairs
+    adj = _adjoint(L)
+    return [(Element(tower, "top", image[i]), adj(duals[i]))
+            for i in range(rank_)]

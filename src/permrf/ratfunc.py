@@ -14,12 +14,13 @@ They agree because f sends the fiber Tr(x) = t onto the fiber over the
 reduced image of t, and the reduced map's difference at x0, y0 equals
 (x0 - y0)(1 - Tr(c/((x0+b)(y0+b)))).
 
-A general L routes by rank.  Invertible L reduces to the standard form
-with numerator alpha*c, where Tr(L^{-1}(x)) = Tr(alpha*x).  Rank n-1
+A general L routes by rank, through its adjoint L* (see linmaps).
+Invertible L reduces to the standard form with numerator alpha*c, where
+Tr(L^{-1}(x)) = Tr(alpha*x), that is alpha = (L^{-1})*(1).  Rank n-1
 permutes exactly when the kernel generator has nonzero trace and no pair
 x0 != y0 has Tr(beta*c/((x0+b)(y0+b))) = 0, beta being the trace-form
-annihilator of the image.  Rank below n-1 never permutes: the image meets
-each of the q fibers in at most q^(rank) points.
+annihilator of the image, which spans ker L*.  Rank below n-1 never
+permutes: the image meets each of the q fibers in at most q^(rank) points.
 
 Both pair tests, and classify_c, share one scan in the log domain.  For a
 fixed (tower, b) the q values log(1/(x0+b)) are computed once and kept in
@@ -33,35 +34,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from . import _linalg
 from ._pool import map_ordered, worker_count
 from .errors import (
     BadAlpha,
-    BInBaseField,
-    BZero,
     CZero,
     EvenCharacteristic,
-    NotBijective,
     NotInSubfield,
     OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import Element, FieldTower
-from .linmaps import LinearizedPoly, _trace_dual, invert_lin, rank_kernel_image
-
-
-def _enc(x):
-    return x.enc if isinstance(x, Element) else x
-
-
-def _check_b(tower, b):
-    if not 0 <= b < tower.size:
-        raise OutOfRange(f"b encoding {b} outside field of size {tower.size}")
-    if b == 0:
-        raise BZero("b must be nonzero")
-    if b < tower.q:
-        raise BInBaseField("b must lie outside F_q")
+from .gf_core import FieldTower, _check_b, _enc
+from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
 
 
 def _check_c(tower, c):
@@ -260,20 +244,6 @@ def lifted_c_set(tower, b, d):
             if tower.trace_rel_enc(c, tower.n, d) == target]
 
 
-def _image_annihilator(tower, image):
-    """The nonzero beta with Tr(beta * w) = 0 for the given image basis."""
-    n, q = tower.n, tower.q
-    rows = []
-    for w in image:
-        rows.append([tower.trace_enc(tower.top.mul(w, q ** j))
-                     for j in range(n)])
-    basis = _linalg.nullspace(tower.mid, rows)
-    if len(basis) != 1:
-        raise NotBijective(
-            f"image annihilator is not one dimensional (got {len(basis)})")
-    return tower.top.undigits(basis[0])
-
-
 def normalize_spec(spec):
     """(equivalent standard-form spec, alpha) for invertible L.
 
@@ -284,8 +254,7 @@ def normalize_spec(spec):
     tower = spec.tower
     if spec.L.is_identity:
         return spec, 1
-    linv = invert_lin(spec.L)
-    alpha = _trace_dual(tower, lambda x: tower.trace_enc(linv.eval_enc(x)))
+    alpha = _adjoint(invert_lin(spec.L)).eval_enc(1)
     return RatFuncSpec(tower, spec.b, tower.top.mul(alpha, spec.c)), alpha
 
 
@@ -294,7 +263,7 @@ def is_permutation(spec):
     tower = spec.tower
     if spec.L.is_identity:
         return pairwise_criterion(tower, spec.b, spec.c).ok
-    rank, kernel, image = rank_kernel_image(spec.L)
+    rank, kernel, _ = rank_kernel_image(spec.L)
     if rank == tower.n:
         std, _ = normalize_spec(spec)
         return pairwise_criterion(tower, std.b, std.c).ok
@@ -302,7 +271,7 @@ def is_permutation(spec):
         return False
     if tower.trace_enc(kernel[0]) == 0:
         return False
-    beta = _image_annihilator(tower, image)
+    _, (beta,), _ = rank_kernel_image(_adjoint(spec.L))
     shifted = tower.top.mul(beta, spec.c)
     return not kernel_criterion(tower, spec.b, shifted).exists
 

@@ -36,11 +36,11 @@ from typing import Callable, Optional
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
 from .errors import EvenCharacteristic, NotPrime, UsageError
-from .gf_core import DEFAULT_SIZE_BUDGET, basis_det_b, make_tower
+from .gf_core import (DEFAULT_SIZE_BUDGET, _check_b, _factor_int, basis_det_b,
+                      make_tower)
 from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
-    _check_b,
     _first_pair,
     classify_c,
     closed_form_c,
@@ -54,19 +54,13 @@ from .ratfunc import (
 
 def split_prime_power(q):
     """(p, m) with q = p^m, or NotPrime when q is not a prime power."""
-    if q < 2:
+    primes = _factor_int(q)
+    if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q
-    m = 0
+    p, m = primes[0], 0
     while q % p == 0:
         q //= p
         m += 1
-    if q != 1:
-        raise NotPrime(f"{q * p ** m} is not a prime power")
     return p, m
 
 
@@ -339,7 +333,7 @@ def _equiv_pool(limit):
     pool = []
     p = 2
     while p * p <= limit:
-        if all(p % f for f in range(2, p)):
+        if _factor_int(p) == [p]:
             m = 1
             while p ** (2 * m) <= limit:
                 n = 2

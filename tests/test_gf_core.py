@@ -542,6 +542,8 @@ def test_basis_det_validation():
         basis_det_b(t, 0)
     with pytest.raises(BInBaseField):
         basis_det_b(t, 1)
+    with pytest.raises(OutOfRange, match="b encoding 8 outside field of size 8"):
+        basis_det_b(t, 8)
     with pytest.raises(UnsupportedDegree):
         basis_det_b(make_tower(3, 1, 2), 3)
 

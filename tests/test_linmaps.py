@@ -157,6 +157,10 @@ def test_complete_basis():
     assert full == [3, 1, 4]
     with pytest.raises(OutOfRange, match="encoding 3 is dependent"):
         complete_basis(t, [1, 2, 4, 3])
+    # Checked before any elimination: digits() never ends on a negative.
+    for enc in (8, -1):
+        with pytest.raises(OutOfRange, match=f"encoding {enc} is not a top"):
+            complete_basis(t, [enc])
 
 
 def test_trace_decompose_frozen_f4():

@@ -260,30 +260,32 @@ def test_router_low_rank_never_permutes():
 
 
 def test_normalize_spec_conjugation():
-    # h(z) = alpha * f(L^(-1)(z / alpha)) pointwise
-    t = make_tower(3, 1, 2)
-    top = t.ops("top")
+    # h(z) = alpha * f(L^(-1)(z / alpha)) pointwise.  At n = 2, -i mod n
+    # equals i, so the degree 3 towers are what check the adjoint's slots.
     rng = random.Random("ratfunc-normalize")
-    checked = 0
-    while checked < 10:
-        coeffs = tuple(rng.randrange(t.size) for _ in range(t.n))
-        L = LinearizedPoly(t, coeffs)
-        try:
-            Linv = invert_lin(L)
-        except Exception:
-            continue
-        checked += 1
-        b = rng.randrange(t.q, t.size)
-        c = rng.randrange(1, t.size)
-        spec = RatFuncSpec(t, b, c, L)
-        std, alpha = normalize_spec(spec)
-        assert std.L.is_identity
-        assert std.b == b
-        assert alpha != 0
-        ainv = top.inv(alpha)
-        for z in t.elements("top"):
-            pre = Linv.eval_enc(top.mul(z, ainv))
-            assert eval_rf(std, z) == top.mul(alpha, eval_rf(spec, pre))
+    for params in ((3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3)):
+        t = make_tower(*params)
+        top = t.ops("top")
+        checked = 0
+        while checked < 10:
+            coeffs = tuple(rng.randrange(t.size) for _ in range(t.n))
+            L = LinearizedPoly(t, coeffs)
+            try:
+                Linv = invert_lin(L)
+            except Exception:
+                continue
+            checked += 1
+            b = rng.randrange(t.q, t.size)
+            c = rng.randrange(1, t.size)
+            spec = RatFuncSpec(t, b, c, L)
+            std, alpha = normalize_spec(spec)
+            assert std.L.is_identity
+            assert std.b == b
+            assert alpha != 0
+            ainv = top.inv(alpha)
+            for z in t.elements("top"):
+                pre = Linv.eval_enc(top.mul(z, ainv))
+                assert eval_rf(std, z) == top.mul(alpha, eval_rf(spec, pre))
 
 
 def test_remark2_twist_frozen_f9():
