@@ -73,6 +73,8 @@ class LinearizedPoly:
             if x.level != "top":
                 raise OutOfRange("linearized polynomials act on the top level")
             return Element(self.tower, "top", self.eval_enc(x.enc))
+        if not 0 <= x < self.tower.size:
+            raise OutOfRange(f"encoding {x} is not a top encoding")
         return self.eval_enc(x)
 
     def pretty(self):
@@ -106,6 +108,9 @@ def from_matrix(tower, matrix):
     and a_i = sum_j w_j d_j^(q^i).
     """
     n, q = tower.n, tower.q
+    if (len(matrix) != n or any(len(row) != n for row in matrix)
+            or not all(0 <= e < q for row in matrix for e in row)):
+        raise OutOfRange(f"matrix is not {n} x {n} with entries in 0..{q - 1}")
     top = tower.top
     duals = [d.enc for d in dual_basis(tower, [q ** j for j in range(n)])]
     coeffs = [0] * n

@@ -50,6 +50,11 @@ def test_coefficient_validation():
         LinearizedPoly(t, (9, 0))
     with pytest.raises(OutOfRange):
         LinearizedPoly(t, (-1, 0))
+    # entry 5 is no F_3 element; undigits would fold it into [[2, 0], [1, 1]]
+    for matrix in ([[5, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 0]],
+                   [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(OutOfRange):
+            from_matrix(t, matrix)
 
 
 def test_eval_matches_explicit_powers():
@@ -73,6 +78,10 @@ def test_call_accepts_elements_and_encodings():
     out = L(t.element("top", 3))
     assert out.enc == 6
     assert L(3) == 6
+    # -1 would index the Frobenius table from its end, 9 past it
+    for x in (-1, 9):
+        with pytest.raises(OutOfRange):
+            L(x)
 
 
 def test_matrix_round_trip():

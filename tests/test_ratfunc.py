@@ -24,6 +24,7 @@ from permrf import (
     make_tower,
     normalize_spec,
     pairwise_criterion,
+    rank_kernel_image,
     remark2_transform,
     remark3_check,
     invert_lin,
@@ -35,6 +36,7 @@ from permrf.errors import (
     CZero,
     EvenCharacteristic,
     NotInSubfield,
+    OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
@@ -59,6 +61,9 @@ def test_eval_frozen_f9():
     spec = RatFuncSpec(t, 3, 1)
     assert eval_rf(spec, 0) == 6
     assert eval_rf(spec, 3) == 0
+    for x in (-1, 9):
+        with pytest.raises(OutOfRange):
+            eval_rf(spec, x)
 
 
 def test_reduced_map_frozen_f9():
@@ -435,3 +440,50 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
     assert not is_permutation_direct(RatFuncSpec(t, 3, 2))
     assert is_permutation_reduced(t, 3, 1)
     assert not is_permutation_reduced(t, 3, 2)
+
+
+def _seeded_map_of_rank(t, rank, rng):
+    """L(x) = sum of rank terms alpha * Tr(beta * x), redrawn until its
+    rank is exactly rank; rank 0 is the zero map."""
+    top = t.ops("top")
+    while True:
+        coeffs = [0] * t.n
+        for _ in range(rank):
+            alpha, beta = rng.randrange(1, t.size), rng.randrange(1, t.size)
+            for k in range(t.n):
+                coeffs[k] = top.add(coeffs[k],
+                                    top.mul(alpha, t.frob_enc(beta, k)))
+        L = LinearizedPoly(t, tuple(coeffs))
+        if rank_kernel_image(L)[0] == rank:
+            return L
+
+
+def test_direct_scan_matches_pointwise_reference(monkeypatch):
+    # At odd n the digit blocks are q^((n+1)/2) wide and fewer than that
+    # many; 2^2:3 has a middle field that is not prime.  Every c is tried,
+    # so the closed form and the other permuting c run full scans, and the
+    # rest stop at a repeat.
+    def refuse(*args):
+        raise AssertionError("direct evaluation used the pair scan")
+
+    monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
+    rng = random.Random("ratfunc-direct-scan")
+    for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2)):
+        t = make_tower(*params)
+        top = t.ops("top")
+        b = rng.randrange(t.q, t.size)
+        maps = [None, LinearizedPoly(t, (top.neg(1), 1))]
+        maps += [_seeded_map_of_rank(t, r, rng) for r in range(t.n + 1)]
+        permuting_with_L = 0
+        for L in maps:
+            for c in range(1, t.size):
+                spec = RatFuncSpec(t, b, c, L)
+                want = len({eval_rf(spec, x)
+                            for x in range(t.size)}) == t.size
+                assert is_permutation_direct(spec) == want
+                permuting_with_L += want and L is not None
+        assert permuting_with_L > 0
+        if t.n in (2, 3):
+            closed = closed_form_c(t, b)
+            assert is_permutation_direct(RatFuncSpec(t, b, closed))
