@@ -155,8 +155,8 @@ def _cmd_check(args):
 
 
 def _classify_one(job):
-    tower, b, workers, pretty = job
-    permuting = classify_c(tower, b, workers=workers)
+    tower, b, pretty = job
+    permuting = classify_c(tower, b)
     try:
         closed = closed_form_c(tower, b)
     except PermRFError:
@@ -180,12 +180,8 @@ def _cmd_classify(args):
         bs = [args.b]
     else:
         raise UsageError("classify needs --b or --all-b")
-    # One process pool per command: several b fan out one b per job, and
-    # a single b fans its c range out inside classify_c.
-    inner = args.workers if len(bs) == 1 else 1
     results = verify.map_ordered(
-        _classify_one, [(tower, b, inner, args.pretty) for b in bs],
-        args.workers)
+        _classify_one, [(tower, b, args.pretty) for b in bs], args.workers)
     payload = {
         "command": "classify",
         "field": tower.field_spec,

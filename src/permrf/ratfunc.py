@@ -22,12 +22,23 @@ x0 != y0 has Tr(beta*c/((x0+b)(y0+b))) = 0, beta being the trace-form
 annihilator of the image, which spans ker L*.  Rank below n-1 never
 permutes: the image meets each of the q fibers in at most q^(rank) points.
 
-Both pair tests, and classify_c, share one scan in the log domain.  For a
-fixed (tower, b) the q values log(1/(x0+b)) are computed once and kept in
-a one-entry memo, since sweeps hold b fixed while c varies; each pair then
-costs one exp lookup and one trace lookup.  The direct and reduced tests
-do their own field arithmetic and never touch that scan, so they stay
-independent checks of it.
+The two pair tests share one scan in the log domain.  For a fixed
+(tower, b) the q values log(1/(x0+b)) are computed once and kept in a
+one-entry memo, since sweeps hold b fixed while c varies; each pair then
+costs one exp lookup and one trace lookup.  It finds the first pair, the
+witness of pairwise_criterion and kernel_criterion, and through them
+serves is_permutation, `permrf check --method pairwise` and the per-case
+suite checks; the sampled proposition suite calls it directly.
+
+classify_c, and the exhaustive proposition suite, want every c for one b
+at once, and take a different route.  With d = 1/((x0+b)(y0+b)) the c
+failing at one pair, those with Tr(c*d) = target, form a hyperplane, since
+c -> Tr(c*d) is F_q-linear.  In the log domain it is the level set
+{k : Tr(g^k) = target} rotated by log d, so the c with no such pair are
+the complement of a union of rotations: one shift and OR of a (q^n - 1)-bit
+int per pair, and none of the pair scan.  The two routes share only the
+memo of logarithms.  The direct and reduced tests do their own field
+arithmetic and touch neither, so they stay independent checks of both.
 
 Direct evaluation still visits every element in order, but c/(Tr(x) + b)
 depends on x only through Tr(x), so its q values are computed first: q
@@ -42,11 +53,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ._pool import map_ordered, worker_count
 from .errors import (
     BadAlpha,
     CZero,
     EvenCharacteristic,
+    LevelMismatch,
     NotInSubfield,
     OutOfRange,
     SizeBudgetExceeded,
@@ -86,6 +97,8 @@ class RatFuncSpec:
         object.__setattr__(self, "c", c)
         if self.L is None:
             object.__setattr__(self, "L", LinearizedPoly.identity(self.tower))
+        elif self.L.tower is not self.tower:
+            raise LevelMismatch("L is built on another tower")
 
 
 class Criterion(NamedTuple):
@@ -205,30 +218,67 @@ def kernel_criterion(tower, b, c):
     return KernelCriterion(pair is not None, pair)
 
 
-def _classify_chunk(args):
-    tower, b, lo, hi = args
-    return [c for c in range(lo, hi) if _first_pair(tower, b, c, 1) is None]
+@lru_cache(maxsize=2)
+def _level_set(tower, target):
+    """The int with bit k set when Tr(g^k) == target, k below size - 1,
+    doubled so that rotating it by s is one right shift by s."""
+    order = tower.size - 1
+    trace = tower.trace_table
+    digits = bytearray(b"0") * order
+    for k, x in enumerate(tower.top._exp[:order]):
+        if trace[x] == target:
+            digits[order - 1 - k] = 49
+    level = int(digits, 2)
+    return level | level << order
 
 
-def classify_c(tower, b, workers=1):
+def _pair_free_c(tower, b, target):
+    """The c != 0, ascending encodings, with no pair x0 < y0 in F_q where
+    Tr(c/((x0+b)(y0+b))) == target.
+
+    c = g^j fails at a pair exactly when bit j of the level set rotated by
+    log(1/((x0+b)(y0+b))) is set, so the failing j are the union of one
+    rotation per pair.  At target 0, scaling by F_q* keeps a hyperplane,
+    so rotations equal mod (size - 1)/(q - 1) coincide and count once.
+    """
+    order = tower.size - 1
+    period = order // (tower.q - 1) if target == 0 else order
+    ilog = _inverse_logs(tower, b)
+    shifts = {(lx + ly) % period
+              for i, lx in enumerate(ilog) for ly in ilog[i + 1:]}
+    level = _level_set(tower, target)
+    hit = 0
+    for s in shifts:
+        hit |= level >> s
+    free = format(~hit & ((1 << order) - 1), "b")[::-1]
+    exp = tower.top._exp
+    found = []
+    j = free.find("1")
+    while j >= 0:
+        found.append(exp[j])
+        j = free.find("1", j + 1)
+    return sorted(found)
+
+
+def classify_c(tower, b):
     """All c for which x + c/(Tr(x)+b) permutes, ascending encodings.
 
-    Runs the pairwise test with early exit on every nonzero c, so the
-    cost is at most (q^n - 1) * q(q-1)/2 pair evaluations.  Towers whose
-    squared size q^(2n) exceeds the budget are refused; q^(2n) bounds that
-    cost from above.
+    The pairwise test for every nonzero c at once, by _pair_free_c: one
+    shift and OR of a (q^n - 1)-bit int for each of the q(q-1)/2 pairs,
+    never the per-c pair scan.  Towers where that bound, q(q-1)/2 * (q^n - 1)
+    bit operations, exceeds the size budget are refused.  One b takes well
+    under a millisecond on small towers, so there is no workers argument;
+    `permrf classify --all-b` fans out over b instead.
     """
     b = _enc(b)
     _check_b(tower, b)
-    if tower.size ** 2 > tower.size_budget:
+    q = tower.q
+    bound = q * (q - 1) // 2 * (tower.size - 1)
+    if bound > tower.size_budget:
         raise SizeBudgetExceeded(
-            f"classification bound {tower.size}^2 on pair evaluations is "
-            f"over the budget {tower.size_budget}")
-    chunks = worker_count(workers, tower.size - 1)
-    bounds = [1 + (tower.size - 1) * i // chunks for i in range(chunks + 1)]
-    jobs = [(tower, b, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    return [c for chunk in map_ordered(_classify_chunk, jobs, chunks)
-            for c in chunk]
+            f"classification bound q(q-1)/2 * (q^n - 1) = {bound} bit "
+            f"operations is over the budget {tower.size_budget}")
+    return _pair_free_c(tower, b, 1)
 
 
 def closed_form_c(tower, b, d=None):

@@ -42,6 +42,7 @@ from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
     _first_pair,
+    _pair_free_c,
     classify_c,
     closed_form_c,
     is_permutation_direct,
@@ -283,10 +284,12 @@ def _plan_theorem_n3(q, p, m, mode, seed, budget, samples):
 
 def _case_proposition(tower, b):
     _check_b(tower, b)
-    # Every c in 1..size-1 is a valid numerator, so only b needs checking.
-    return _tally([None if _first_pair(tower, b, c, 0) is not None
-                   else _exc(tower, b, c, "no zero-trace pair")
-                   for c in range(1, tower.size)])
+    # Every c in 1..size-1 is a case; the exceptions are the c with no
+    # zero-trace pair, found all at once.
+    cases = tower.size - 1
+    exceptions = [_exc(tower, b, c, "no zero-trace pair")
+                  for c in _pair_free_c(tower, b, 0)]
+    return cases, cases - len(exceptions), exceptions
 
 
 def _case_proposition_sampled(tower, seed):

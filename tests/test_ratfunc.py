@@ -35,13 +35,20 @@ from permrf.errors import (
     BZero,
     CZero,
     EvenCharacteristic,
+    LevelMismatch,
     NotInSubfield,
     OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from permrf import ratfunc
+from permrf import ratfunc, verify
 from permrf.ratfunc import reduced_map_eval
+
+
+def test_spec_rejects_linear_part_of_another_tower():
+    with pytest.raises(LevelMismatch):
+        RatFuncSpec(make_tower(3, 1, 2), 3, 1,
+                    LinearizedPoly(make_tower(2, 1, 3), (0, 1)))
 
 
 def test_spec_validation():
@@ -106,19 +113,25 @@ def test_classify_frozen_f9():
         assert closed_form_c(t, b) == 1
 
 
-def test_classify_workers_agree():
+def test_classify_custom_modulus_matches_direct():
     # At b = 27 the custom tower's closed form differs from the canonical
-    # 3^2:2 tower's, so a worker that computed on the canonical tower
-    # would disagree.
-    custom = make_tower(3, 2, 2, g=(2, 1, 1), h=(4, 0, 1))
-    for t, b in ((make_tower(3, 1, 2), 3), (custom, 27)):
-        assert classify_c(t, b, workers=2) == classify_c(t, b)
+    # 3^2:2 tower's, so classifying on the canonical tower would disagree.
+    t = make_tower(3, 2, 2, g=(2, 1, 1), h=(4, 0, 1))
+    assert classify_c(t, 27) == [
+        c for c in range(1, t.size)
+        if is_permutation_direct(RatFuncSpec(t, 27, c))]
 
 
 def test_classify_budget_gate():
-    t = make_tower(3, 1, 2, size_budget=50)
-    with pytest.raises(SizeBudgetExceeded):
-        classify_c(t, 3)
+    # 3:2 costs q(q-1)/2 * (q^n - 1) = 3 * 8 = 24 bit operations per b.
+    with pytest.raises(SizeBudgetExceeded, match="24"):
+        classify_c(make_tower(3, 1, 2, size_budget=23), 3)
+    assert classify_c(make_tower(3, 1, 2, size_budget=24), 3) == [1]
+    # 2^5:3 sits under the default budget (496 * 32767 < 2^24), though its
+    # squared size does not.
+    t = make_tower(2, 5, 3)
+    b = 37
+    assert closed_form_c(t, b) in classify_c(t, b)
 
 
 def test_closed_form_frozen():
@@ -341,9 +354,9 @@ def test_closed_form_permutes_everywhere():
             assert pairwise_criterion(t, b, c).ok
 
 
-# The pair tests and classify_c share one log-domain scan.  The reference
-# below redoes that scan with field operations only, so the kernel is never
-# checked against itself.
+# The pair tests share one log-domain scan, and classify_c takes a union of
+# hyperplanes instead.  The reference below redoes the scan with field
+# operations only, so neither is ever checked against itself.
 
 KERNEL_TOWERS = (
     (2, 1, 2),
@@ -354,6 +367,7 @@ KERNEL_TOWERS = (
     (3, 1, 3),
     (3, 2, 2),
 )
+CLASSIFY_TOWERS = KERNEL_TOWERS + ((2, 2, 3), (7, 1, 3))
 
 
 def reference_first_pair(t, b, c, target):
@@ -383,7 +397,7 @@ def test_pair_witnesses_match_reference_exhaustively(params):
             assert_pair_tests_match_reference(t, b, c)
 
 
-@pytest.mark.parametrize("params", KERNEL_TOWERS,
+@pytest.mark.parametrize("params", CLASSIFY_TOWERS,
                          ids=lambda p: f"{p[0]}^{p[1]}:{p[2]}")
 def test_classify_matches_direct_exhaustively(params):
     t = make_tower(*params)
@@ -391,6 +405,33 @@ def test_classify_matches_direct_exhaustively(params):
         assert classify_c(t, b) == [
             c for c in range(1, t.size)
             if is_permutation_direct(RatFuncSpec(t, b, c))]
+
+
+@pytest.mark.parametrize("params", CLASSIFY_TOWERS,
+                         ids=lambda p: f"{p[0]}^{p[1]}:{p[2]}")
+def test_pair_free_c_matches_reference_exhaustively(params):
+    t = make_tower(*params)
+    for b in range(t.q, t.size):
+        for target in (0, 1):
+            assert ratfunc._pair_free_c(t, b, target) == [
+                c for c in range(1, t.size)
+                if reference_first_pair(t, b, c, target) is None]
+
+
+def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
+    cases = [(t, b) for t in (make_tower(3, 1, 2), make_tower(2, 2, 3))
+             for b in range(t.q, t.size)]
+    classified = [classify_c(t, b) for t, b in cases]
+    reports = verify.reports_to_json(verify.run_suite("proposition", [4, 5]))
+
+    def refuse(*args):
+        raise AssertionError("classification used the pair scan")
+
+    monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(verify, "_first_pair", refuse)
+    assert [classify_c(t, b) for t, b in cases] == classified
+    assert verify.reports_to_json(
+        verify.run_suite("proposition", [4, 5])) == reports
 
 
 def test_pair_memo_isolated_across_towers_and_b():
