@@ -18,28 +18,40 @@ Moduli are canonical unless the caller supplies their own: the chosen g
 (or h) is the monic irreducible polynomial whose coefficient tuple
 (c_0, ..., c_{d-1}), read low to high as a base-s integer, is smallest.
 Irreducibility of a monic degree-d polynomial f is decided by checking
-gcd(X^(s^i) - X, f) = 1 for 1 <= i <= d // 2.
+gcd(X^(s^i) - X, f) = 1 for 1 <= i <= d // 2, once a polynomial in X^p,
+a p-th power, is turned away.
 
 Multiplication and inversion run on exponential and logarithm tables
-built from the smallest-encoding generator g of each level.  The powers
-of g come from a precomputed linear step: x -> x * g is F_p-linear, so
-the images of every value of each chunk of an encoding's base-p digits
-are computed once by polynomial product (a few thousand at most), and
-each later power costs one lookup per chunk, summed by XOR in
-characteristic 2 and digit by digit in the ground field otherwise.  In
-odd characteristic addition runs on the same tables through Zech
-logarithms, zech[k] = log(1 + g^k): a + b = a * (1 + b/a) is one lookup
-each in log, zech and exp, and -a = g^((size-1)/2) * a.  Characteristic
-2 adds by XOR of encodings.  The Frobenius table of the top field is read
-off the log tables, log(x^q) = q * log(x).  The trace is F_q-linear, so
-its table fills block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k),
-from the n conjugate sums Tr(v^k).  A tower of size q^n costs O(q^n) time
-and memory; make_tower refuses to build towers larger than the size
-budget.
+built from the smallest-encoding generator g of each level.  The search
+for g starts at the ground size s when the degree d exceeds 1, since a
+ground element's order divides s - 1.  With c = (s^d - 1)/(s - 1), g^c
+lies in the ground and generates its units, so g^(k*c + i) =
+(g^c)^k * g^i: only the first c powers are stepped one by one, and the
+other s - 2 blocks are the first scaled by (g^c)^k, which multiplies
+each base-s digit on its own (one row of the ground per k, each row the
+last read through the first).  The c steps use a precomputed linear
+step: x -> x * g is F_p-linear, so the images of every value of each
+chunk of an encoding's base-p digits are computed once by polynomial
+product (a few hundred to a few thousand), and each later power costs
+one lookup per chunk, summed by XOR in characteristic 2 and digit by
+digit in the ground field otherwise.  In odd characteristic addition
+runs on the same tables through Zech logarithms, zech[k] = log(1 + g^k):
+a + b = a * (1 + b/a) is one lookup each in log, zech and exp, and
+-a = g^((size-1)/2) * a.  Characteristic 2 adds by XOR of encodings.
+The Frobenius table of the top field is read off the log tables,
+log(x^q) = q * log(x), and the Zech table raises the lowest base-p digit
+of each exp entry; both are chains of maps over the tables, with no
+Python step per element.  The trace is F_q-linear, so its table grows
+block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k), from the n
+conjugate sums Tr(v^k), each block one map over the table so far.  Every
+table is built without a second list of its size beside it.  A tower of
+size q^n costs O(q^n) time and memory; make_tower refuses to build
+towers larger than the size budget.
 """
 
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import add, floordiv, mod, mul, pos, xor
 
 from . import _linalg
 from .errors import (
@@ -60,13 +72,32 @@ from .errors import (
 
 DEFAULT_SIZE_BUDGET = 1 << 24
 
-# Most entries in one chunk table of the generator step (_step_images).
+# Most entries in one chunk table of the generator step (_step_images)
+# and in one row of the ground scaling (_scaled_blocks).
 # Wider chunks save a lookup per element on large towers, but their freed
 # images stay behind as memory: 1369-entry tables for 37:3 raised peak
 # RSS over a run of builds, 37-entry ones did not.
 _MAX_CHUNK = 256
 
 LEVELS = ("base", "mid", "top")
+
+
+class _Sized:
+    """Items with a known count, so that list() or list.extend() sizes
+    the table once.  A table grown item by item is moved as it grows,
+    and the memory it leaves behind stays with the process."""
+
+    __slots__ = ("_items", "_count")
+
+    def __init__(self, items, count):
+        self._items = items
+        self._count = count
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __length_hint__(self):
+        return self._count
 
 
 class _PrimeField:
@@ -170,6 +201,9 @@ def _is_irreducible(k, f):
         return False
     if f[0] == 0 and d > 1:
         return False
+    # A polynomial in X^p is a p-th power over a finite field.
+    if not any(c for i, c in enumerate(f) if i % k.char):
+        return False
     x = [0, 1]
     r = x
     for _ in range(d // 2):
@@ -238,9 +272,8 @@ class _ExtField:
         self.size = ground.size ** self.degree
         self._build_tables()
         if self.char == 2:
-            self.add = self._add_xor
-            self.neg = self._neg_char2
-            self.sub = self._add_xor
+            self.add = self.sub = xor
+            self.neg = pos
         else:
             self._build_zech()
 
@@ -269,25 +302,49 @@ class _ExtField:
             self._exp = [1, 1]
             self._log = [None, 0]
             return
+        s, d = self.ground.size, self.degree
         prime_parts = [order // f for f in _factor_int(order)]
         gen = None
-        for cand in range(2, self.size):
+        # A ground element's order divides s - 1, so below s no candidate
+        # can generate unless the field is its ground (d = 1).
+        for cand in range(s if d > 1 else 2, self.size):
             if all(self._raw_pow(cand, e) != 1 for e in prime_parts):
                 gen = cand
                 break
         if gen is None:
             raise InvalidModulus("no generator found; modulus not irreducible")
         self.generator = gen
-        exp = [1] * (2 * order - 1)
+        # g^c with c = (s^d - 1)/(s - 1) is the norm of g down to the
+        # ground, which generates the ground's units, so the powers are
+        # s - 1 blocks g^(k*c + i) = (g^c)^k * g^i: c steps of the
+        # generator, then the first block scaled in the ground.
+        blocks = s - 1 if d > 1 else 1
+        exp, acc = self._powers(gen, order // blocks)
+        if acc >= s or (blocks == 1 and acc != 1):
+            raise InvalidModulus("generator order wrong; modulus not irreducible")
+        scaled = self._scaled_blocks(exp, acc) if blocks > 1 else ()
+        # The first order - 1 powers again spare callers the reduction of
+        # log a + log b.
+        exp.extend(_Sized(chain(chain.from_iterable(scaled),
+                                islice(exp, order - 1)),
+                          2 * order - 1 - len(exp)))
         log = [None] * self.size
+        for i, x in enumerate(islice(exp, order)):
+            log[x] = i
+        self._exp = exp
+        self._log = log
+
+    def _powers(self, gen, count):
+        """[gen^0, ..., gen^(count-1)] and gen^count, one chunk-image step
+        (_step_images) per power."""
+        powers = [1] * count
         radix, images = self._step_images(gen)
         acc = 1
         if self.char == 2:
             shift = radix.bit_length() - 1
             mask = radix - 1
-            for i in range(order):
-                exp[i] = acc
-                log[acc] = i
+            for i in range(count):
+                powers[i] = acc
                 nxt = 0
                 for image in images:
                     nxt ^= image[acc & mask]
@@ -296,13 +353,12 @@ class _ExtField:
         else:
             add, s, d = self.ground.add, self.ground.size, self.degree
             # Rebinding frees the image encodings before the loop makes
-            # the exp table's ints.
+            # the powers' ints.
             images = [[tuple(reversed(self.digits(y, d))) for y in image]
                       for image in images]
             first, *rest = images
-            for i in range(order):
-                exp[i] = acc
-                log[acc] = i
+            for i in range(count):
+                powers[i] = acc
                 acc, chunk = divmod(acc, radix)
                 total = first[chunk]
                 for image in rest:
@@ -312,12 +368,43 @@ class _ExtField:
                 for digit in total:
                     nxt = nxt * s + digit
                 acc = nxt
-        if acc != 1:
-            raise InvalidModulus("generator order wrong; modulus not irreducible")
-        for i in range(order, 2 * order - 1):
-            exp[i] = exp[i - order]
-        self._exp = exp
-        self._log = log
+        return powers, acc
+
+    def _scaled_blocks(self, exp, z):
+        """For k = 1 .. s - 2, an iterator over z^k * x for each of the
+        first c = (size - 1)/(s - 1) entries x of exp, z in the ground.
+
+        A ground scalar multiplies each base-s digit on its own.  So an
+        encoding splits into chunks of w digits, x = sum_j x_j * R^j with
+        R = s^w, and z^k * x = sum_j row_k[x_j] * R^j, where row_k[y] is
+        the chunk y with every digit times z^k.  row_(k+1) is row_k read
+        through row_1, and each block is a chain of maps over the chunks.
+        """
+        ground, s = self.ground, self.ground.size
+        w = 1
+        while w < self.degree and s ** (w + 1) <= _MAX_CHUNK:
+            w += 1
+        radix = s ** w
+        scales = [radix ** j for j in range(-(-self.degree // w))]
+        digit_row = [ground.mul(y, z) for y in range(s)]
+        step = [sum(digit_row[y // s ** i % s] * s ** i for i in range(w))
+                for y in range(radix)]
+        c = (self.size - 1) // (s - 1)
+        parts = [map(mod, map(floordiv, islice(exp, c), repeat(scale)),
+                     repeat(radix))
+                 for scale in scales]
+        if s > 3:
+            # Every block reads the chunks again.  At s = 3 the single
+            # block reads them straight off exp: as lists, up to three
+            # chunks of size / 2 entries each would sit beside the tables.
+            parts = [list(part) for part in parts]
+        rows = [list(map(mul, step, repeat(scale))) for scale in scales]
+        for _ in range(s - 2):
+            block = map(rows[0].__getitem__, parts[0])
+            for row, part in zip(rows[1:], parts[1:]):
+                block = map(add, block, map(row.__getitem__, part))
+            yield block
+            rows = [list(map(row.__getitem__, step)) for row in rows]
 
     def _step_images(self, gen):
         """Chunk images of the F_p-linear map x -> x * gen.
@@ -351,11 +438,15 @@ class _ExtField:
         prime-field coefficient at every level, so adding 1 touches only
         that digit.  -1 = g^((size-1)/2) in odd characteristic.
         """
-        p = self.char
-        log = self._log
-        self._zech = [log[x - x % p + (x % p + 1) % p]
-                      for x in self._exp[:self.size - 1]]
-        self._half = (self.size - 1) // 2
+        p, order = self.char, self.size - 1
+        exp, log = self._exp, self._log
+        # x + bump[x % p] raises that digit, p - 1 wrapping to 0.
+        bump = [1] * (p - 1) + [1 - p]
+        self._zech = list(_Sized(map(log.__getitem__, map(
+            add, islice(exp, order),
+            map(bump.__getitem__, map(mod, islice(exp, order), repeat(p))))),
+            order))
+        self._half = order // 2
 
     # Digit conversions.
 
@@ -399,12 +490,6 @@ class _ExtField:
         if a == 0:
             return 0
         return self._exp[self._log[a] + self._half]
-
-    def _add_xor(self, a, b):
-        return a ^ b
-
-    def _neg_char2(self, a):
-        return a
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -613,30 +698,32 @@ class FieldTower:
         self._build_trace()
 
     def _build_frobenius(self):
-        """The permutation table of x -> x^q, from log(x^q) = q * log(x)."""
-        q, top = self.q, self.top
-        exp, log, order = top._exp, top._log, self.size - 1
-        self.frob_table = [0] + [exp[log[x] * q % order]
-                                 for x in range(1, self.size)]
+        """The permutation table of x -> x^q, from log(x^q) = q * log(x).
+        Its entries are the exp table's int objects, not new ones."""
+        exp, log, order = self.top._exp, self.top._log, self.size - 1
+        self.frob_table = list(_Sized(chain((0,), map(exp.__getitem__, map(
+            mod, map(mul, islice(log, 1, None), repeat(self.q)),
+            repeat(order)))), self.size))
 
     def _build_trace(self):
         """Tr is F_q-linear: the entry for x = rest + a * v^k, rest < q^k,
-        is Tr(rest) + a * Tr(v^k), so the table fills block by block from
-        the traces of v^k, each a sum of conjugates."""
+        is Tr(rest) + a * Tr(v^k), so the table grows by one map over its
+        first q^k entries per (k, a), from the traces of v^k, each a sum
+        of conjugates."""
         frob, q, top, mid = self.frob_table, self.q, self.top, self.mid
-        table = [0] * self.size
+        traces = []
         for k in range(self.n):
-            width = q ** k
-            tr_vk = t = width
+            tr_vk = t = q ** k
             for _ in range(self.n - 1):
                 t = frob[t]
                 tr_vk = top.add(tr_vk, t)
-            # In place: a new list per block would sit beside the table and
-            # raise the build's peak memory.
-            for a in range(1, q):
-                shift = mid.mul(a, tr_vk)
-                for i, x in enumerate(islice(table, width), a * width):
-                    table[i] = mid.add(x, shift)
+            traces.append(tr_vk)
+        table = [0]
+        # Each block is made once the blocks before it are in the table.
+        table.extend(_Sized(chain.from_iterable(
+            map(mid.add, islice(table, q ** k), repeat(mid.mul(a, tr_vk)))
+            for k, tr_vk in enumerate(traces) for a in range(1, q)),
+            self.size - 1))
         self.trace_table = table
 
     def __reduce__(self):

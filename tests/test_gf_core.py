@@ -9,6 +9,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +132,19 @@ def test_canonical_moduli(params, expected):
     assert tuple(tower.top.modulus) == expected[1]
 
 
+def test_pth_powers_are_reducible():
+    """Every element of a finite field is a p-th power, so a polynomial
+    in X^p is one too.  Over F_256 the search for h passes all 255 such
+    X^2 + c before (32, 1, 1)."""
+    f256 = make_tower(2, 8, 1).mid
+    assert not any(gf_core._is_irreducible(f256, [c, 0, 1])
+                   for c in range(256))
+    f3 = make_tower(3, 1, 1).mid
+    assert not any(gf_core._is_irreducible(f3, [c, 0, 0, 1, 0, 0, 1])
+                   for c in range(3))
+    assert make_tower(2, 8, 2).top.modulus == (32, 1, 1)
+
+
 def test_f9_arithmetic_facts():
     t = make_tower(3, 1, 2)
     top = t.ops("top")
@@ -224,7 +238,11 @@ def test_trace_equals_conjugate_sum():
 
 # (p, m, n, g, h): both characteristics, m = 1 and m > 1, n = 1, custom
 # moduli, the order-1 field (2:1), generator steps of one chunk (2^2:3,
-# 3^2:2), of two uneven chunks (2:13, 3:7) and of three (7:5).
+# 3^2:2), of two uneven chunks (2:13, 3:7) and of three (7:5).  Powers
+# past the first (s^d - 1)/(s - 1) are ground-scaled blocks whenever the
+# ground size s exceeds 2 and the degree d exceeds 1: 3:7 scales one
+# block, 2^4:2 and 5^2:2 many over a non-prime ground, 13:2 over a
+# prime one.
 TABLE_TOWERS = (
     (2, 1, 1, None, None),
     (2, 1, 13, None, None),
@@ -237,6 +255,9 @@ TABLE_TOWERS = (
     (3, 2, 3, None, None),
     (5, 1, 3, None, (4, 1, 0, 1)),
     (7, 1, 5, None, None),
+    (2, 4, 2, None, None),
+    (5, 2, 2, None, None),
+    (13, 1, 2, None, None),
 )
 
 
@@ -251,6 +272,9 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
                       (t.top, (t.mid.modulus, t.top.modulus))):
         order = f.size - 1
         exp, log = f._exp, f._log
+        # The order-1 field keeps a second entry so exp[log 1 + log 1] reads.
+        assert len(exp) == max(2 * order - 1, 2)
+        assert len(log) == f.size
         assert exp[0] == 1
         for i in range(order):
             assert exp[i + 1] == ref_mul(p, moduli, exp[i], f.generator)
@@ -258,9 +282,11 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
         assert sorted(exp[:order]) == list(range(1, f.size))
         assert all(exp[i] == exp[i - order] for i in range(order, len(exp)))
         if p != 2:
+            assert len(f._zech) == order
             for k in range(order):
                 one_plus = digit_add(p, 1, exp[k])
                 assert f._zech[k] == (log[one_plus] if one_plus else None)
+    assert len(t.frob_table) == len(t.trace_table) == t.size
     moduli = (t.mid.modulus, t.top.modulus)
     rng = random.Random(f"tables:{p}:{m}:{n}")
     for x in rng.sample(range(t.size), min(t.size, 40)):
@@ -275,8 +301,8 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
 
 def test_cold_build_makes_few_polynomial_products(monkeypatch):
     """The exp tables step by table lookups, not one polynomial product
-    per element.  Most of the products left are the generator search's
-    (3^5:2 tries 250 candidates)."""
+    per element, and the generator search skips the ground, so it tries
+    about ten candidates on these towers (2^8:2 from 256 to 264)."""
     calls = 0
     raw_mul = gf_core._ExtField._raw_mul
 
@@ -286,11 +312,56 @@ def test_cold_build_makes_few_polynomial_products(monkeypatch):
         return raw_mul(self, a, b)
 
     monkeypatch.setattr(gf_core._ExtField, "_raw_mul", counting)
-    for params in ((2, 1, 15), (3, 5, 2)):
+    for params in ((2, 1, 15), (3, 5, 2), (2, 8, 2)):
         make_tower.cache_clear()
         calls = 0
         t = make_tower(*params)
-        assert calls * 4 < t.size
+        assert calls * 25 < t.size
+
+
+# Top-field generators of the benchmark's cold-build towers.
+GENERATORS = {(2, 1, 15): 2, (2, 8, 2): 264, (2, 5, 3): 34, (3, 5, 2): 252,
+              (37, 1, 3): 75}
+
+
+@pytest.mark.parametrize("params,expected", sorted(GENERATORS.items()))
+def test_generators_are_smallest_primitive_encodings(params, expected):
+    assert make_tower(*params).top.generator == expected
+
+
+def test_generator_search_skips_the_ground(monkeypatch):
+    """A ground element's order divides s - 1, so an extension of degree
+    d > 1 tries no candidate below s; a degree-1 field starts at 2."""
+    tried = []
+    raw_pow = gf_core._ExtField._raw_pow
+
+    def recording(self, a, e):
+        tried.append((self.degree, self.ground.size, a))
+        return raw_pow(self, a, e)
+
+    monkeypatch.setattr(gf_core._ExtField, "_raw_pow", recording)
+    for params in ((3, 2, 2), (2, 4, 2), (5, 1, 3), (13, 1, 2), (2, 3, 1)):
+        make_tower.cache_clear()
+        make_tower(*params)
+    assert {(d, s) for d, s, _ in tried} >= {(2, 3), (2, 16), (3, 5), (1, 8)}
+    for degree, ground_size, cand in tried:
+        assert cand >= (ground_size if degree > 1 else 2)
+
+
+@pytest.mark.parametrize("params", [(2, 8, 2), (3, 5, 2)])
+def test_cold_build_transient_memory(params):
+    """Building a tower's tables holds at most one list of size
+    references beyond the tables it keeps."""
+    make_tower.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = make_tower(*params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 8 * t.size
+    assert kept - before > 8 * 5 * t.size
 
 
 def test_norm_equals_conjugate_product():
