@@ -251,9 +251,7 @@ def _cmd_weil(args):
 
 
 def _cmd_verify(args):
-    qs = None
-    if args.q:
-        qs = tuple(int(x) for x in _parse_coeffs(args.q, "--q"))
+    qs = _parse_coeffs(args.q, "--q") if args.q else None
     if args.suite == "all":
         if qs is not None:
             raise UsageError("--suite all runs fixed defaults; drop --q")
@@ -305,7 +303,9 @@ def build_parser():
                         help="largest allowed field size (default 2^24; "
                              "PERMRF_BUDGET overrides)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="processes for verify and classify --all-b "
+                             "(default: the CPU count)")
         sp.add_argument("--pretty", action="store_true",
                         help="add rendered polynomials to the output")
 
@@ -369,8 +369,8 @@ def build_parser():
     sp.add_argument("--csv", default=None,
                     help="also write the exception rows here")
     sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock seconds (breaks byte "
-                         "determinism)")
+                    help="include each report's elapsed, the seconds its "
+                         "jobs took (breaks byte determinism)")
     sp.set_defaults(fn=_cmd_verify)
 
     return parser

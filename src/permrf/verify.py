@@ -7,17 +7,20 @@ is assertive, and the report's jobs.  A job is a (case, args) pair; the
 case runs as case(*args) in a worker process and returns (cases, passed,
 exceptions).  Jobs carry the tower itself, first in args: a tower
 pickles by its make_tower key, so it reaches a worker in a few dozen
-bytes and unpickles to that worker's cached instance.  One driver,
-Suite.__call__, validates the mode and the sample count and resolves
-the budget once, then for each planned report runs the jobs through map_ordered in
-order, sums their results and builds the SuiteReport.  SUITES maps each
-name to its record, and run_battery runs a fixed list of (suite, qs,
-mode) in order.
+bytes and unpickles to that worker's cached instance.
+
+One private runner, _run, takes (suite, qs, mode) entries.  It checks
+them all, plans every report (so every tower is built before any job
+runs and forked workers inherit it), runs every job in one map_ordered
+call and adds each result to its report.  Calling a Suite record,
+run_suite and run_battery each hand it one such list, so each opens at
+most one worker pool.
 
 Sampling is driven by string-seeded generators keyed as
 "permrf:<suite>:<q>:<seed>[:<b>]", so a given (suite, q, seed, budget)
 always yields byte-identical canonical JSON.  Wall-clock time is kept
-out of the canonical form; pass include_elapsed to see it.
+out of the canonical form; pass include_elapsed to see it.  A report's
+elapsed is the sum of the seconds its jobs took where they ran.
 
 Assertive suites verify proved statements and fail on any exception.
 Report-only suites explore territory where the claim is known to be
@@ -54,7 +57,9 @@ from .ratfunc import (
 
 
 def split_prime_power(q):
-    """(p, m) with q = p^m, or NotPrime when q is not a prime power."""
+    """(p, m) with q = p^m, for an int q that is a prime power."""
+    if not isinstance(q, int):
+        raise UsageError(f"q must be an integer, not {q!r}")
     primes = _factor_int(q)
     if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -101,19 +106,6 @@ def _exc(tower, b, c, detail, extra=None):
     return e
 
 
-def _finish(suite, field_spec, q, n, mode, assertive, seed, budget,
-            cases, passed, exceptions, started):
-    if assertive:
-        verdict = "pass" if not exceptions else "fail"
-    else:
-        verdict = "report-only"
-    return SuiteReport(
-        suite=suite, field_spec=field_spec, q=q, n=n, mode=mode,
-        assertive=assertive, seed=seed, size_budget=budget,
-        cases_total=cases, cases_passed=passed, exceptions=exceptions,
-        verdict=verdict, elapsed=time.perf_counter() - started)
-
-
 def _tally(outcomes):
     """(cases, passed, exceptions) from one outcome per case: None for a
     pass, otherwise the case's exception."""
@@ -134,8 +126,10 @@ def _sampled_pairs(tower, key, count):
 
 
 def _run_job(job):
+    """The job's (cases, passed, exceptions) and the seconds it took."""
     case, args = job
-    return case(*args)
+    started = time.perf_counter()
+    return (*case(*args), time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ class Suite:
     plan(q, p, m, mode, seed, budget, samples) yields one
     (field_spec, n, mode label, assertive, jobs) per report; q, p and m
     are None for a suite with no default qs, which picks its own fields.
-    Calling the record runs every planned report and returns them.
+    Calling the record runs and returns its reports over qs or its defaults.
     """
 
     name: str
@@ -153,37 +147,62 @@ class Suite:
     modes: tuple
     plan: Callable
 
-    def __call__(self, q=None, *, seed=0, workers=1, size_budget=None,
+    def __call__(self, qs=None, *, seed=0, workers=1, size_budget=None,
                  mode=None, samples=1000):
-        if mode is not None and mode not in self.modes:
-            if not self.modes:
-                raise UsageError(f"{self.name} takes no mode")
-            raise UsageError(f"{self.name} mode must be "
-                             f"{' or '.join(self.modes)}, not {mode}")
-        if samples < 0:
-            raise UsageError(f"samples must be at least 0, not {samples}")
-        budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-        if self.default_qs:
-            p, m = split_prime_power(q)
-        elif q is None:
-            p = m = None
-        else:
-            raise UsageError(f"{self.name} chooses its own fields; drop the q")
-        reports = []
-        started = time.perf_counter()
-        for field_spec, n, label, assertive, jobs in self.plan(
-                q, p, m, mode, seed, budget, samples):
-            cases = passed = 0
-            exceptions = []
-            for nc, np_, exc in map_ordered(_run_job, jobs, workers):
-                cases += nc
-                passed += np_
-                exceptions.extend(exc)
-            reports.append(_finish(self.name, field_spec, q or 0, n, label,
-                                   assertive, seed, budget, cases, passed,
-                                   exceptions, started))
-            started = time.perf_counter()
-        return reports
+        return _run([(self, qs, mode)], seed, workers, size_budget, samples)
+
+
+def _fields(suite, qs, mode):
+    """One (q, p, m) per q once qs and mode are valid, or
+    (None, None, None) alone when the suite picks its own fields."""
+    if mode is not None and mode not in suite.modes:
+        if not suite.modes:
+            raise UsageError(f"{suite.name} takes no mode")
+        raise UsageError(f"{suite.name} mode must be "
+                         f"{' or '.join(suite.modes)}, not {mode}")
+    if not suite.default_qs:
+        if qs:
+            raise UsageError(f"{suite.name} chooses its own fields; drop the q")
+        return [(None, None, None)]
+    qs = suite.default_qs if qs is None else tuple(qs)
+    if not qs:
+        raise UsageError(f"suite {suite.name} needs at least one q")
+    return [(q, *split_prime_power(q)) for q in qs]
+
+
+def _run(entries, seed, workers, size_budget, samples):
+    """Every report of the (suite, qs, mode) entries, in order, from one
+    map_ordered call over all of their jobs."""
+    if samples < 0:
+        raise UsageError(f"samples must be at least 0, not {samples}")
+    budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+    checked = [(suite, _fields(suite, qs, mode), mode)
+               for suite, qs, mode in entries]
+    reports = []
+    jobs = []
+    owners = []
+    for suite, fields, mode in checked:
+        for q, p, m in fields:
+            for field_spec, n, label, assertive, report_jobs in suite.plan(
+                    q, p, m, mode, seed, budget, samples):
+                report = SuiteReport(
+                    suite=suite.name, field_spec=field_spec, q=q or 0, n=n,
+                    mode=label, assertive=assertive, seed=seed,
+                    size_budget=budget, cases_total=0, cases_passed=0,
+                    exceptions=[], elapsed=0.0,
+                    verdict="pass" if assertive else "report-only")
+                reports.append(report)
+                jobs += report_jobs
+                owners += [report] * len(report_jobs)
+    for report, (cases, passed, exceptions, seconds) in zip(
+            owners, map_ordered(_run_job, jobs, workers)):
+        report.cases_total += cases
+        report.cases_passed += passed
+        report.exceptions += exceptions
+        report.elapsed += seconds
+        if report.assertive and exceptions:
+            report.verdict = "fail"
+    return reports
 
 
 # Degree 2 classification: for every b the permuting numerators are
@@ -537,8 +556,6 @@ SUITES = {suite.name: suite for suite in (
     Suite("corollary", (2, 3), (), _plan_corollary),
 )}
 
-DEFAULT_QS = {name: suite.default_qs for name, suite in SUITES.items()}
-
 FULL_CLASSIFY_QS = (2, 3, 4)
 
 # (suite, qs or None for its defaults, mode) in the order run_battery runs.
@@ -561,32 +578,14 @@ def run_suite(name, qs=None, *, seed=0, workers=1, size_budget=None,
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; pick from "
                          f"{', '.join(sorted(SUITES))}")
-    runner = SUITES[name]
-    if not DEFAULT_QS[name]:
-        if qs:
-            raise UsageError(f"{name} chooses its own fields; drop the q")
-        return runner(seed=seed, workers=workers, size_budget=size_budget,
-                      mode=mode, samples=samples)
-    if qs is None:
-        qs = DEFAULT_QS[name]
-    if not qs:
-        raise UsageError(f"suite {name} needs at least one q")
-    reports = []
-    for q in qs:
-        reports.extend(runner(q, seed=seed, workers=workers,
-                              size_budget=size_budget, mode=mode,
-                              samples=samples))
-    return reports
+    return SUITES[name](qs, seed=seed, workers=workers,
+                        size_budget=size_budget, mode=mode, samples=samples)
 
 
 def run_battery(*, seed=0, workers=1, size_budget=None, samples=1000):
-    """Every suite of BATTERY, in order."""
-    reports = []
-    for name, qs, mode in BATTERY:
-        reports.extend(run_suite(name, qs, seed=seed, workers=workers,
-                                 size_budget=size_budget, mode=mode,
-                                 samples=samples))
-    return reports
+    """Every suite of BATTERY, in order, through one map_ordered call."""
+    return _run([(SUITES[name], qs, mode) for name, qs, mode in BATTERY],
+                seed, workers, size_budget, samples)
 
 
 def reports_to_json(reports, include_elapsed=False):

@@ -285,10 +285,10 @@ def test_verify_report_only_exit_zero(capsys):
 
 
 def test_verify_assertive_failure_exits_one(capsys, monkeypatch):
-    def failing(q=None, *, seed=0, workers=1, size_budget=None, mode=None,
+    def failing(qs=None, *, seed=0, workers=1, size_budget=None, mode=None,
                 samples=1000):
         return [SuiteReport(
-            suite="lemma-basis", field_spec="3^1:3", q=q, n=3, mode=None,
+            suite="lemma-basis", field_spec="3^1:3", q=qs[0], n=3, mode=None,
             assertive=True, seed=seed, size_budget=1 << 24, cases_total=1,
             cases_passed=0,
             exceptions=[{"b": 3, "b_pretty": "v", "c": None,

@@ -5,6 +5,7 @@ serialization.
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,6 @@ from permrf.gf_core import DEFAULT_SIZE_BUDGET
 from permrf.verify import (
     BATTERY,
     CSV_COLUMNS,
-    DEFAULT_QS,
     FULL_CLASSIFY_QS,
     SUITES,
     map_ordered,
@@ -65,8 +65,10 @@ def test_worker_count_clamps(monkeypatch):
     assert _pool.worker_count(4, 10) == 1
 
 
-def test_map_ordered_opens_clamped_pool(monkeypatch):
-    # A stand-in executor records the pool size without starting processes.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every pool opened in the test.  A stand-in executor
+    records it and maps in this process, so no worker starts."""
     sizes = []
 
     class RecordingPool:
@@ -83,11 +85,26 @@ def test_map_ordered_opens_clamped_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_map_ordered_opens_clamped_pool(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert map_ordered(_square, range(3), workers=10 ** 6) == [0, 1, 4]
     assert map_ordered(_square, range(9), workers=10 ** 6) == [x * x for x in range(9)]
     assert map_ordered(_square, range(9), workers=1) == [x * x for x in range(9)]
-    assert sizes == [3, 4]
+    assert pool_sizes == [3, 4]
+
+
+def test_one_pool_per_command(monkeypatch, pool_sizes):
+    # Every report of a command shares one map_ordered call, so one pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name, qs in (("theorem-n2", (3, 4)), ("proposition", (4,))):
+        pooled = run_suite(name, qs, workers=2)
+        assert pool_sizes == [2]
+        pool_sizes.clear()
+        assert reports_to_json(run_suite(name, qs)) == reports_to_json(pooled)
+        assert pool_sizes == []
 
 
 def test_theorem_n2_classify_counts():
@@ -228,36 +245,38 @@ def test_run_suite_validation():
         run_suite("lemma-equiv", samples=-3)
     with pytest.raises(UsageError):
         run_suite("theorem-n2", (3,), samples=-3)
+    with pytest.raises(UsageError):
+        run_suite("theorem-n2", ("4",))
+    with pytest.raises(UsageError):
+        run_suite("theorem-n2", (2.0,))
 
 
 def test_registry_and_defaults():
-    assert set(DEFAULT_QS) == set(SUITES)
     assert FULL_CLASSIFY_QS == (2, 3, 4)
-    for name, qs in DEFAULT_QS.items():
+    for name, suite in SUITES.items():
         if name != "lemma-equiv":
-            assert qs
+            assert suite.default_qs
+    reports = SUITES["theorem-n2"]()
+    assert tuple(r.q for r in reports) == SUITES["theorem-n2"].default_qs
 
 
 def test_battery_dispatch_order(monkeypatch):
-    calls = []
-
-    def stub(name):
-        def run(q=None, *, seed=0, workers=1, size_budget=None, mode=None,
-                samples=1000):
-            calls.append((name, q, mode))
-            return []
-        return run
-
-    for name in SUITES:
-        monkeypatch.setitem(SUITES, name, stub(name))
+    # Plans that record their arguments and yield no report: the battery
+    # checks and plans every entry, and no job runs.
+    planned = []
+    for name, suite in SUITES.items():
+        def plan(q, p, m, mode, seed, budget, samples, name=name):
+            planned.append((name, q, mode))
+            return ()
+        monkeypatch.setitem(SUITES, name, replace(suite, plan=plan))
     assert run_battery() == []
     expected = [("lemma-equiv", None, None)]
     for name in ("lemma-basis", "proposition", "theorem-n2", "theorem-n3"):
-        expected += [(name, q, None) for q in DEFAULT_QS[name]]
+        expected += [(name, q, None) for q in SUITES[name].default_qs]
     expected += [("theorem-n3", q, "full-classify") for q in (2, 3, 4)]
     for name in ("factorizations", "remark3", "corollary"):
-        expected += [(name, q, None) for q in DEFAULT_QS[name]]
-    assert calls == expected
+        expected += [(name, q, None) for q in SUITES[name].default_qs]
+    assert planned == expected
 
 
 def test_battery_jobs_pickle_small():
