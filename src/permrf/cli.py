@@ -300,8 +300,8 @@ def build_parser():
             sp.add_argument("--modulus-h", default=None,
                             help="top modulus coefficients, low to high")
         sp.add_argument("--budget", type=int, default=None,
-                        help="largest allowed field size (default 2^24; "
-                             "PERMRF_BUDGET overrides)")
+                        help="largest allowed field size (default: "
+                             "PERMRF_BUDGET if set, else 2^24)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="processes for verify and classify --all-b "

@@ -516,7 +516,8 @@ class Element:
 
     Operators accept a plain int as the other operand and read it as an
     encoding at the same level.  Mixing levels raises LevelMismatch; convert
-    explicitly with at_level.
+    explicitly with at_level.  Equality and hashing go by encoding alone,
+    as for the int it wraps.
     """
 
     __slots__ = ("tower", "level", "enc")
@@ -602,15 +603,12 @@ class Element:
         return self._make(self.tower.ops(self.level).pow(self.enc, e))
 
     def __eq__(self, other):
-        if isinstance(other, Element):
-            return (self.tower is other.tower and self.level == other.level
-                    and self.enc == other.enc)
-        if isinstance(other, int):
-            return self.enc == other
+        # Any finer rule breaks transitivity through the int it wraps.
+        if isinstance(other, (Element, int)):
+            return self.enc == int(other)
         return NotImplemented
 
     def __hash__(self):
-        # Equal to an int with the same encoding, so hash like one.
         return hash(self.enc)
 
     def __bool__(self):

@@ -28,7 +28,7 @@ one-entry memo, since sweeps hold b fixed while c varies; each pair then
 costs one exp lookup and one trace lookup.  It finds the first pair, the
 witness of pairwise_criterion and kernel_criterion, and through them
 serves is_permutation, `permrf check --method pairwise` and the per-case
-suite checks; the sampled proposition suite calls it directly.
+suite checks.
 
 classify_c, and the exhaustive proposition suite, want every c for one b
 at once, and take a different route.  With d = 1/((x0+b)(y0+b)) the c

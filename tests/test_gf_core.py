@@ -473,6 +473,20 @@ def test_element_hash_agrees_with_int_equality():
     assert e in {5}
 
 
+def test_element_equality_is_transitive():
+    # An Element equals the int it wraps, so two Elements with the same
+    # encoding must be equal too, across levels and across towers.
+    t, u = make_tower(2, 2, 2), make_tower(3, 1, 2)
+    top, mid, other = t.element("top", 3), t.element("mid", 3), u.element("top", 3)
+    for a, b in ((top, mid), (top, other), (mid, other)):
+        assert a == 3 == b
+        assert a == b and b == a and not a != b
+        assert hash(a) == hash(b)
+    assert len({top, mid, other, 3}) == 1
+    assert mid in {top} and other in {mid} and 3 in {other}
+    assert top != t.element("top", 2) and top != t.element("mid", 2)
+
+
 def test_element_is_immutable():
     t = make_tower(3, 1, 2)
     a = t.element("top", 3)

@@ -422,16 +422,15 @@ def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
     cases = [(t, b) for t in (make_tower(3, 1, 2), make_tower(2, 2, 3))
              for b in range(t.q, t.size)]
     classified = [classify_c(t, b) for t, b in cases]
-    reports = verify.reports_to_json(verify.run_suite("proposition", [4, 5]))
+    reports = verify.reports_to_json(verify.run_suite("proposition", [4, 5, 11]))
 
     def refuse(*args):
         raise AssertionError("classification used the pair scan")
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
-    monkeypatch.setattr(verify, "_first_pair", refuse)
     assert [classify_c(t, b) for t, b in cases] == classified
     assert verify.reports_to_json(
-        verify.run_suite("proposition", [4, 5])) == reports
+        verify.run_suite("proposition", [4, 5, 11])) == reports
 
 
 def test_pair_memo_isolated_across_towers_and_b():

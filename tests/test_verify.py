@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from permrf import _pool
+from permrf import _pool, verify
 from permrf import (
     LinearizedPoly,
     RatFuncSpec,
@@ -26,7 +26,6 @@ from permrf.gf_core import DEFAULT_SIZE_BUDGET
 from permrf.verify import (
     BATTERY,
     CSV_COLUMNS,
-    FULL_CLASSIFY_QS,
     SUITES,
     map_ordered,
     split_prime_power,
@@ -124,9 +123,10 @@ def test_theorem_n2_spot_mode():
     assert r.verdict == "pass"
 
 
-def test_theorem_n2_mode_auto_switches():
+def test_theorem_n2_classifies_beyond_q9():
     (r,) = run_suite("theorem-n2", (11,))
-    assert r.mode == "spot"
+    assert r.mode == "classify"
+    assert r.cases_total == r.cases_passed == 11 * 11 - 11
     assert r.verdict == "pass"
 
 
@@ -171,11 +171,14 @@ def test_proposition_counts_and_verdicts():
         assert is_permutation_direct(RatFuncSpec(t, e["b"], e["c"], L))
 
 
-def test_proposition_sampled_beyond_q9():
-    reports = run_suite("proposition", (11,))
-    n3 = reports[1]
-    assert n3.mode == "sampled"
-    assert n3.cases_total == 2020
+def test_proposition_exhaustive_at_q11():
+    n2, n3 = run_suite("proposition", (11,))
+    assert n2.mode == n3.mode == "exhaustive"
+    assert n2.verdict == "pass"
+    assert n3.cases_total == (11 ** 3 - 11) * (11 ** 3 - 1) + 20
+    # every (b, c) at q = 11 has a zero-trace pair
+    assert n3.cases_passed == n3.cases_total
+    assert n3.exceptions == []
 
 
 def test_lemma_equiv_counts():
@@ -186,6 +189,21 @@ def test_lemma_equiv_counts():
     assert r.verdict == "pass"
     (r,) = run_suite("lemma-equiv", samples=0)
     assert r.cases_total == 1380
+
+
+def test_lemma_equiv_jobs_build_no_tower(monkeypatch):
+    # The plan builds every tower the sampled draws need, so the jobs
+    # run with make_tower gone.
+    (*_, jobs), = SUITES["lemma-equiv"].plan(None, None, None, None, 0,
+                                             DEFAULT_SIZE_BUDGET, 50)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a job built a tower")
+
+    monkeypatch.setattr(verify, "make_tower", refuse)
+    outcomes = [case(*args) for case, args in jobs]
+    assert sum(cases for cases, _, _ in outcomes) == 1380 + 50
+    assert all(passed == cases for cases, passed, _ in outcomes)
 
 
 def test_lemma_basis_counts():
@@ -252,7 +270,6 @@ def test_run_suite_validation():
 
 
 def test_registry_and_defaults():
-    assert FULL_CLASSIFY_QS == (2, 3, 4)
     for name, suite in SUITES.items():
         if name != "lemma-equiv":
             assert suite.default_qs
@@ -273,7 +290,8 @@ def test_battery_dispatch_order(monkeypatch):
     expected = [("lemma-equiv", None, None)]
     for name in ("lemma-basis", "proposition", "theorem-n2", "theorem-n3"):
         expected += [(name, q, None) for q in SUITES[name].default_qs]
-    expected += [("theorem-n3", q, "full-classify") for q in (2, 3, 4)]
+    expected += [("theorem-n3", q, "full-classify")
+                 for q in SUITES["theorem-n3"].default_qs]
     for name in ("factorizations", "remark3", "corollary"):
         expected += [(name, q, None) for q in SUITES[name].default_qs]
     assert planned == expected
