@@ -28,20 +28,21 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
-from .gf_core import FieldTower, _enc
-from .ratfunc import _checked_bc
+from .gf_core import FieldTower, _checked_bc, _enc, _power, _render_terms
 
 
 def _trim(grid):
     rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    while rows > 1 and all(x == 0 for x in grid[rows - 1]):
+    while rows > 1 and not any(grid[rows - 1]):
         rows -= 1
-    while cols > 1 and all(grid[i][cols - 1] == 0 for i in range(rows)):
+    grid = grid[:rows]
+    cols = len(grid[0]) if rows else 0
+    while cols > 1 and not any(row[cols - 1] for row in grid):
         cols -= 1
-    return tuple(tuple(grid[i][j] for j in range(cols)) for i in range(rows))
+    return tuple(tuple(row[:cols]) for row in grid)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class BivarPoly:
     grid: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", _trim([list(r) for r in self.grid]))
+        object.__setattr__(self, "grid", _trim(self.grid))
 
     @property
     def bidegree(self):
@@ -78,25 +79,11 @@ class BivarPoly:
         return apply_sigma(self, 1) == self
 
     def pretty(self):
-        terms = []
-        for i in range(len(self.grid) - 1, -1, -1):
-            for j in range(len(self.grid[0]) - 1, -1, -1):
-                a = self.grid[i][j]
-                if a == 0:
-                    continue
-                mono = "*".join(p for p in (
-                    "" if i == 0 else ("X" if i == 1 else f"X^{i}"),
-                    "" if j == 0 else ("Y" if j == 1 else f"Y^{j}")) if p)
-                astr = self.tower.pretty_enc("top", a)
-                if " " in astr:
-                    astr = f"({astr})"
-                if not mono:
-                    terms.append(astr)
-                elif a == 1:
-                    terms.append(mono)
-                else:
-                    terms.append(f"{astr}*{mono}")
-        return " + ".join(terms) if terms else "0"
+        return _render_terms(
+            ((a, "*".join(filter(None, (_power("X", i), _power("Y", j)))))
+             for i, row in reversed(list(enumerate(self.grid)))
+             for j, a in reversed(list(enumerate(row)))),
+            partial(self.tower.pretty_enc, "top"))
 
 
 def constant(tower, a):

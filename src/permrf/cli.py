@@ -27,7 +27,7 @@ from .bivariate import (
     weil_threshold,
 )
 from .errors import PermRFError, UsageError
-from .gf_core import DEFAULT_SIZE_BUDGET, make_tower
+from .gf_core import make_tower
 from .linmaps import LinearizedPoly, matrix_of, rank_kernel_image
 from .ratfunc import (
     RatFuncSpec,
@@ -41,6 +41,11 @@ from .ratfunc import (
 )
 
 _FIELD_RE = re.compile(r"^(\d+)(?:\^(\d+))?:(\d+)$")
+
+# Every suite's modes, for the --mode help.
+_MODES = "; ".join(f"{name}: {'|'.join(suite.modes)}"
+                   for name, suite in sorted(verify.SUITES.items())
+                   if suite.modes)
 
 
 def parse_field_spec(text):
@@ -73,7 +78,7 @@ def _resolve_budget(args):
         except ValueError:
             raise UsageError(
                 f"PERMRF_BUDGET must be an integer, not {env!r}") from None
-    return DEFAULT_SIZE_BUDGET
+    return None
 
 
 def _tower_for(args):
@@ -361,8 +366,7 @@ def build_parser():
                     help="comma-separated prime powers (suite defaults "
                          "when omitted)")
     sp.add_argument("--mode", default=None,
-                    help="suite-specific mode (theorem-n2: classify|spot; "
-                         "theorem-n3: sufficiency|full-classify)")
+                    help=f"suite-specific mode ({_MODES})")
     sp.add_argument("--samples", type=int, default=1000,
                     help="random sample count for lemma-equiv")
     sp.add_argument("--json", default=None, help="also write reports here")

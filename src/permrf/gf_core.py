@@ -49,7 +49,7 @@ size q^n costs O(q^n) time and memory; make_tower refuses to build
 towers larger than the size budget.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import add, floordiv, mod, mul, pos, xor
 
@@ -57,6 +57,7 @@ from . import _linalg
 from .errors import (
     BInBaseField,
     BZero,
+    CZero,
     DegreeZero,
     DivisionByZero,
     InvalidModulus,
@@ -640,6 +641,33 @@ def _enc(x):
     return x.enc if isinstance(x, Element) else x
 
 
+def _power(var, e):
+    """var^e as text: "" for e = 0, var alone for e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _render_terms(terms, render):
+    """A sum of (coefficient encoding, monomial text) terms, "0" for none.
+
+    Zero terms are left out.  The constant monomial "" shows its
+    coefficient, rendered by render, bare; coefficient 1 shows its
+    monomial bare; a coefficient gets parentheses only when it contains
+    a space.
+    """
+    out = []
+    for c, mono in terms:
+        if not c:
+            continue
+        if not mono:
+            out.append(render(c))
+        elif c == 1:
+            out.append(mono)
+        else:
+            text = render(c)
+            out.append(f"({text})*{mono}" if " " in text else f"{text}*{mono}")
+    return " + ".join(out) or "0"
+
+
 def _check_b(tower, b):
     if not 0 <= b < tower.size:
         raise OutOfRange(f"b encoding {b} outside field of size {tower.size}")
@@ -647,6 +675,17 @@ def _check_b(tower, b):
         raise BZero("b must be nonzero")
     if b < tower.q:
         raise BInBaseField("b must lie outside F_q")
+
+
+def _checked_bc(tower, b, c):
+    """Encodings of b and c, validated b first."""
+    b, c = _enc(b), _enc(c)
+    _check_b(tower, b)
+    if not 0 <= c < tower.size:
+        raise OutOfRange(f"c encoding {c} outside field of size {tower.size}")
+    if c == 0:
+        raise CZero("c must be nonzero")
+    return b, c
 
 
 def _check_tower_params(p, m, n, budget):
@@ -663,33 +702,25 @@ class FieldTower:
     """Container for the three levels plus the tables keyed to the top one.
 
     Public attributes: p, m, n, q, size, base, mid, top, field_spec,
-    frob_table, trace_table.  Do not construct directly; go through
-    make_tower so instances are shared.  A tower pickles (and copies) as
-    its make_tower key, p, m, n, both moduli and the size budget, so it
-    crosses to a worker process in a few dozen bytes and unpickles to
-    that process's cached instance.
+    frob_table, trace_table.  Do not construct directly: make_tower
+    checks the parameters and spells out both moduli and the budget, and
+    the constructor only builds, taking the middle field from the cache
+    shared by every tower over it.  A tower pickles (and copies) as its
+    make_tower key, p, m, n, g, h and the size budget, so it crosses to a
+    worker process in a few dozen bytes and unpickles to that process's
+    cached instance.
     """
 
-    def __init__(self, p, m, n, g=None, h=None, size_budget=None):
-        budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-        _check_tower_params(p, m, n, budget)
+    def __init__(self, p, m, n, g, h, size_budget):
         self.p = p
         self.m = m
         self.n = n
         self.q = p ** m
         self.size = self.q ** n
-        self.size_budget = budget
-        self.base = _PrimeField(p)
-        if g is not None:
-            g = tuple(g)
-            if len(g) != m + 1:
-                raise InvalidModulus(f"g must have degree {m}")
-        self.mid = _ExtField(self.base, g or _canonical_modulus(self.base, m))
-        if h is not None:
-            h = tuple(h)
-            if len(h) != n + 1:
-                raise InvalidModulus(f"h must have degree {n}")
-        self.top = _ExtField(self.mid, h or _canonical_modulus(self.mid, n))
+        self.size_budget = size_budget
+        self.mid = _mid_field(p, g)
+        self.base = self.mid.ground
+        self.top = _ExtField(self.mid, h)
         self._levels = {"base": self.base, "mid": self.mid, "top": self.top}
         self._norm_exp = (self.size - 1) // (self.q - 1)
         self._build_frobenius()
@@ -804,32 +835,21 @@ class FieldTower:
         if isinstance(ops, _PrimeField):
             return str(enc)
         var = "v" if level == "top" else "u"
-        coeffs = ops.digits(enc, ops.degree)
-        terms = []
-        for i in range(ops.degree - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(self._coeff_str(level, c))
-                continue
-            xi = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                terms.append(xi)
-            else:
-                cs = self._coeff_str(level, c)
-                if " " in cs:
-                    cs = f"({cs})"
-                terms.append(f"{cs}*{xi}")
-        return " + ".join(terms) if terms else "0"
-
-    def _coeff_str(self, level, c):
-        if level == "top" and self.m > 1:
-            return self.pretty_enc("mid", c)
-        return str(c)
+        # With m = 1 a middle-field coefficient is its prime-field digit.
+        render = (partial(self.pretty_enc, "mid")
+                  if level == "top" and self.m > 1 else str)
+        return _render_terms(((c, _power(var, i)) for i, c in
+                              reversed(list(enumerate(ops.digits(enc))))),
+                             render)
 
     def __repr__(self):
         return f"FieldTower({self.field_spec})"
+
+
+@lru_cache(maxsize=None)
+def _mid_field(p, g):
+    """The middle field F_p[u]/(g), built once for every tower over it."""
+    return _ExtField(_PrimeField(p), g)
 
 
 @lru_cache(maxsize=None)
@@ -838,14 +858,21 @@ def _canonical_g(p, m):
 
 
 @lru_cache(maxsize=None)
-def _canonical_h(p, m, n, g):
+def _canonical_h(p, n, g):
     """The canonical top modulus over the middle field F_p[u]/(g)."""
-    return _canonical_modulus(_ExtField(_PrimeField(p), g), n)
+    return _canonical_modulus(_mid_field(p, g), n)
 
 
-@lru_cache(maxsize=None)
-def _cached_tower(p, m, n, g, h, size_budget):
-    return FieldTower(p, m, n, g=g, h=h, size_budget=size_budget)
+def _explicit_modulus(f, degree, name):
+    f = tuple(f)
+    # 2.0 == 2 would share a cache key with a field already built.
+    if len(f) != degree + 1 or not all(isinstance(c, int) for c in f):
+        raise InvalidModulus(
+            f"{name} must be {degree + 1} integer coefficients, low to high")
+    return f
+
+
+_cached_tower = lru_cache(maxsize=None)(FieldTower)
 
 
 def make_tower(p, m, n, g=None, h=None, size_budget=None):
@@ -854,30 +881,26 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     g and h, when given, must be coefficient tuples (low to high, monic)
     for the middle and top moduli; otherwise the canonical smallest
     irreducibles are used.  size_budget caps p^(m*n); the default refuses
-    fields beyond 2^24 elements.  Defaults are resolved before the cache
-    lookup, so spelling out the default budget, the canonical g, or the
-    canonical h over the chosen middle field returns the same tower as
-    leaving them out.
+    fields beyond 2^24 elements.  The parameters are checked, and the
+    budget, g and h spelled out, before the cache lookup: spelling out
+    the default budget, the canonical g, or the canonical h over the
+    chosen middle field returns the same tower as leaving them out.
+    cache_clear also forgets the middle fields and canonical moduli.
     """
     budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
-    if g is not None or h is not None:
-        _check_tower_params(p, m, n, budget)
-        # 2.0 == 2 would share a cache key with a tower already built.
-        if not all(isinstance(c, int) for c in (*(g or ()), *(h or ()))):
-            raise InvalidModulus("modulus coefficients must be integers")
-        canon_g = _canonical_g(p, m)
-        g = None if g is None or tuple(g) == canon_g else tuple(g)
-        # A g of the wrong degree is left for FieldTower to refuse.
-        if h is not None:
-            h = tuple(h)
-            if ((g is None or len(g) == m + 1)
-                    and h == _canonical_h(p, m, n, g or canon_g)):
-                h = None
+    _check_tower_params(p, m, n, budget)
+    g = _canonical_g(p, m) if g is None else _explicit_modulus(g, m, "g")
+    h = _canonical_h(p, n, g) if h is None else _explicit_modulus(h, n, "h")
     return _cached_tower(p, m, n, g, h, budget)
 
 
+def _clear_caches():
+    for cache in (_cached_tower, _canonical_h, _canonical_g, _mid_field):
+        cache.cache_clear()
+
+
 make_tower.cache_info = _cached_tower.cache_info
-make_tower.cache_clear = _cached_tower.cache_clear
+make_tower.cache_clear = _clear_caches
 
 
 def frobenius(a, i=1):

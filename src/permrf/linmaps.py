@@ -14,10 +14,11 @@ a_i^(q^k) at x^(q^k) for k = -i mod n, and trace duals need no solve.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
-from .gf_core import Element, FieldTower, _enc, dual_basis
+from .gf_core import Element, FieldTower, _enc, _power, _render_terms, dual_basis
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,11 @@ class LinearizedPoly:
         return self.eval_enc(x)
 
     def pretty(self):
-        terms = []
         q = self.tower.q
-        for i in range(self.tower.n - 1, -1, -1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            xi = "x" if i == 0 else f"x^{q ** i}"
-            if a == 1:
-                terms.append(xi)
-            else:
-                terms.append(f"({self.tower.pretty_enc('top', a)})*{xi}")
-        return " + ".join(terms) if terms else "0"
+        return _render_terms(
+            ((a, _power("x", q ** i))
+             for i, a in reversed(list(enumerate(self.coeffs)))),
+            partial(self.tower.pretty_enc, "top"))
 
 
 def matrix_of(L):

@@ -55,7 +55,6 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BadAlpha,
-    CZero,
     EvenCharacteristic,
     LevelMismatch,
     NotInSubfield,
@@ -63,23 +62,8 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import FieldTower, _check_b, _enc
+from .gf_core import FieldTower, _check_b, _checked_bc, _enc
 from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
-
-
-def _check_c(tower, c):
-    if not 0 <= c < tower.size:
-        raise OutOfRange(f"c encoding {c} outside field of size {tower.size}")
-    if c == 0:
-        raise CZero("c must be nonzero")
-
-
-def _checked_bc(tower, b, c):
-    """Encodings of b and c, validated b first."""
-    b, c = _enc(b), _enc(c)
-    _check_b(tower, b)
-    _check_c(tower, c)
-    return b, c
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,14 @@ call and adds each result to its report.  Calling a Suite record,
 run_suite and run_battery each hand it one such list, so each opens at
 most one worker pool.
 
-Sampling is driven by string-seeded generators keyed as
-"permrf:<suite>:<q>:<seed>[:<b>]", so a given (suite, q, seed, budget)
-always yields byte-identical canonical JSON.  Wall-clock time is kept
-out of the canonical form; pass include_elapsed to see it.  A report's
-elapsed is the sum of the seconds its jobs took where they ran.
+Sampling is driven by string-seeded generators, keyed as
+"permrf:theorem-n2:<q>:<seed>:<b>" per b,
+"permrf:proposition:<q>:<n>:<seed>:spot" for the kernel-term spot check
+and "permrf:lemma-equiv:<seed>" for lemma-equiv, which draws its towers
+too; so a given (suite, q, seed, budget) always yields byte-identical
+canonical JSON.  Wall-clock time is kept out of the canonical form; pass
+include_elapsed to see it.  A report's elapsed is the sum of the seconds
+its jobs took where they ran.
 
 Assertive suites verify proved statements and fail on any exception.
 Report-only suites explore territory where the claim is known to be
@@ -39,8 +42,7 @@ from typing import Callable, Optional
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
 from .errors import EvenCharacteristic, NotPrime, UsageError
-from .gf_core import (DEFAULT_SIZE_BUDGET, _check_b, _factor_int, basis_det_b,
-                      make_tower)
+from .gf_core import DEFAULT_SIZE_BUDGET, _factor_int, basis_det_b, make_tower
 from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
@@ -294,7 +296,6 @@ def _plan_theorem_n3(q, p, m, mode, seed, budget, samples):
 # counterexamples are expected and recorded.
 
 def _case_proposition(tower, b):
-    _check_b(tower, b)
     # Every c in 1..size-1 is a case; the exceptions are the c with no
     # zero-trace pair, found all at once.
     cases = tower.size - 1

@@ -84,6 +84,14 @@ def test_grid_trimming_and_coeff():
     assert g.coeff(9, 9) == 0
 
 
+def test_pretty():
+    t = make_tower(3, 1, 2)
+    assert constant(t, 0).pretty() == "0"
+    # The constant term shows its coefficient bare, spaces and all.
+    assert bilinear(t, 1, 3, 0, 4).pretty() == "X*Y + v*X + v + 1"
+    assert bilinear(t, 2, 0, 1, 0).pretty() == "2*X*Y + Y"
+
+
 def test_expect_bidegree():
     t = make_tower(3, 1, 2)
     f = build_f2(t, 3, 1)

@@ -328,6 +328,16 @@ def test_verify_unknown_suite_is_parse_error(capsys):
     capsys.readouterr()
 
 
+def test_verify_help_names_every_mode(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # no wrapping inside a mode name
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    for name, suite in cli.verify.SUITES.items():
+        if suite.modes:
+            assert f"{name}: {'|'.join(suite.modes)}" in help_text
+
+
 def test_budget_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("PERMRF_BUDGET", "100")
     code, _, err = run_cli(capsys, "field", "--field", "3:5")

@@ -433,7 +433,7 @@ def test_constructor_validation():
     with pytest.raises(InvalidModulus):
         make_tower(3, 2, 2, g=(2.0, 1, 1))
     with pytest.raises(InvalidModulus):
-        gf_core.FieldTower(3, 2, 2, g=(2.0, 1, 1))
+        make_tower(3, 2, 2, g=(2.0, 1, 1), h=(4, 0, 1))
 
 
 def test_custom_modulus_accepted():
@@ -704,6 +704,7 @@ def test_make_tower_resolves_defaults_before_caching():
     assert make_tower(3, 1, 2, g=(1, 1)) is not t
     nested = make_tower(3, 2, 2)
     assert make_tower(3, 2, 2, g=(1, 0, 1), h=(4, 0, 1)) is nested
+    assert make_tower(3, 2, 2).mid is make_tower(3, 2, 3).mid
 
 
 def test_tower_pickles_to_its_cached_instance():

@@ -205,3 +205,5 @@ def test_pretty():
     t = make_tower(3, 1, 2)
     assert "x" in LinearizedPoly(t, (1, 2)).pretty()
     assert LinearizedPoly.zero(t).pretty() == "0"
+    # Coefficients are parenthesized only when they contain a space.
+    assert LinearizedPoly(make_tower(3, 1, 2), (2, 3)).pretty() == "v*x^3 + 2*x"
