@@ -15,11 +15,18 @@ At points of F_q x F_q each curve evaluates to N(w) (1 - Tr(c/w)) with
 w = (x0+b)(y0+b), except the kernel curve which gives N(w) Tr(c/w), so
 off-diagonal zeros are exactly the pairwise (resp. kernel) witnesses.
 
-conjugate_factor_search looks for a monic bilinear g with
-f = g * sigma(g) * ... * sigma^(n-1)(g), pruning candidates through the
-edge coefficients: the top-edge column f[n][n-j] lists the elementary
-symmetric functions of the conjugates of beta, the right edge those of
-gamma, and f[0][0] is the norm of delta.
+conjugate_factor_search looks for a monic bilinear g = XY + beta X
++ gamma Y + delta with f = g * sigma(g) * ... * sigma^(n-1)(g), pruning
+candidates through coefficients of f before any full product: the
+top-edge column f[n][n-j] lists the elementary symmetric functions of the
+conjugates of beta, the right edge those of gamma, and f[0][0] is the
+norm of delta, whose fiber is read off the log table (N(g^k) = g^(k e)
+with e = (q^n - 1)/(q - 1)).  Three more coefficients filter delta per
+(beta, gamma):
+  f[n-1][n-1] = Tr(delta) + Tr(beta) Tr(gamma) - Tr(beta gamma)
+  f[1][0]     = N(delta) Tr(beta/delta)
+  f[0][1]     = N(delta) Tr(gamma/delta)
+and every survivor is checked by the full product.
 
 The Weil gate for smoothness arguments is evaluated in exact integer
 arithmetic: q - (d-1)(d-2) sqrt(q) - 2d + 1 > 0 exactly when
@@ -28,7 +35,7 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
 from .gf_core import FieldTower, _checked_bc, _enc, _power, _render_terms
@@ -152,10 +159,9 @@ def norm_poly(f):
 
 
 def trace_poly(f):
-    out = f
-    for i in range(1, f.tower.n):
-        out = add(out, apply_sigma(f, i))
-    return out
+    """Sum of sigma^i(f) over i < n: the trace of every coefficient."""
+    trace = f.tower.trace_table
+    return BivarPoly(f.tower, [[trace[x] for x in row] for row in f.grid])
 
 
 def eval_poly(f, x, y):
@@ -231,10 +237,12 @@ def count_offdiag_points(f):
     return count
 
 
+@lru_cache(maxsize=2)
 def _charpoly_roots(tower, edge):
-    """Roots of T^n + sum_j (-1)^j edge[j-1] T^(n-j), edge[j-1] = e_j."""
+    """Ascending roots of T^n + sum_j (-1)^j edge[j-1] T^(n-j), edge[j-1]
+    = e_j, by a field scan.  Memoised: the edges of build_f2 depend on b
+    only, so a sweep over c scans once per b."""
     top = tower.top
-    n = tower.n
     coeffs = [1]
     sign = 1
     for e in edge:
@@ -247,7 +255,22 @@ def _charpoly_roots(tower, edge):
             acc = top.add(top.mul(acc, t), a)
         if acc == 0:
             roots.append(t)
-    return roots
+    return tuple(roots)
+
+
+def _norm_fiber(tower, t):
+    """Ascending encodings d with N(d) = t.  N(g^k) = g^(k e) with
+    e = (q^n - 1)/(q - 1), so for t = g^l the fiber is the g^k with
+    k = l/e mod q - 1, and it is empty unless e divides l."""
+    if t == 0:
+        return [0]
+    order = tower.size - 1
+    e = order // (tower.q - 1)
+    k, rem = divmod(tower.top._log[t], e)
+    if rem:
+        return []
+    exp = tower.top._exp
+    return sorted(exp[i] for i in range(k, order, tower.q - 1))
 
 
 def conjugate_factor_search(f):
@@ -256,9 +279,13 @@ def conjugate_factor_search(f):
 
     Requires the X^n Y^n coefficient to be 1.  Candidates for beta and
     gamma are the roots of the charpoly read off the grid edges, delta
-    runs through the norm fiber over f[0][0]; the first verified triple
-    in ascending (beta, gamma, delta) order wins, so the result is
-    deterministic.
+    runs through the norm fiber over f[0][0] (read off the log table),
+    and for each (beta, gamma) only the delta passing three coefficient
+    filters are checked by a full product: Tr(delta) = f[n-1][n-1]
+    - Tr(beta) Tr(gamma) + Tr(beta gamma), and for delta != 0,
+    Tr(beta/delta) = f[1][0]/f[0][0] and Tr(gamma/delta) = f[0][1]/f[0][0].
+    The first verified triple in ascending (beta, gamma, delta) order
+    wins, so the result is deterministic.
     """
     tower = f.tower
     n = tower.n
@@ -268,14 +295,28 @@ def conjugate_factor_search(f):
             f"{tower.size_budget}")
     if f.coeff(n, n) != 1:
         return None
-    betas = _charpoly_roots(tower, [f.coeff(n, n - j) for j in range(1, n + 1)])
-    gammas = _charpoly_roots(tower, [f.coeff(n - j, n) for j in range(1, n + 1)])
+    top, trace = tower.top, tower.trace_table
+    betas = _charpoly_roots(tower, tuple(f.coeff(n, n - j) for j in range(1, n + 1)))
+    gammas = _charpoly_roots(tower, tuple(f.coeff(n - j, n) for j in range(1, n + 1)))
     norm_target = f.coeff(0, 0)
-    deltas = [d for d in range(tower.size)
-              if tower.norm_enc(d) == norm_target]
-    for beta in sorted(betas):
-        for gamma in sorted(gammas):
+    deltas = _norm_fiber(tower, norm_target)
+    if norm_target:
+        inv_norm = top.inv(norm_target)
+        x_edge = top.mul(f.coeff(1, 0), inv_norm)
+        y_edge = top.mul(f.coeff(0, 1), inv_norm)
+    for beta in betas:
+        for gamma in gammas:
+            want = top.add(top.sub(f.coeff(n - 1, n - 1),
+                                   top.mul(trace[beta], trace[gamma])),
+                           trace[top.mul(beta, gamma)])
             for delta in deltas:
+                if trace[delta] != want:
+                    continue
+                if norm_target:
+                    d_inv = top.inv(delta)
+                    if (trace[top.mul(beta, d_inv)] != x_edge
+                            or trace[top.mul(gamma, d_inv)] != y_edge):
+                        continue
                 g = bilinear(tower, 1, beta, gamma, delta)
                 if norm_poly(g) == f:
                     return (beta, gamma, delta)

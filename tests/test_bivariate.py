@@ -25,6 +25,7 @@ from permrf import (
 )
 from permrf.bivariate import (
     BivarPoly,
+    _norm_fiber,
     add,
     apply_sigma,
     bilinear,
@@ -39,7 +40,7 @@ from permrf.errors import (
     UnsupportedDegree,
     WrongDegree,
 )
-from helpers import prime_powers
+from helpers import prime_powers, reference_factor_search
 
 F2_GRID_B3_C1 = ((0, 0, 1), (0, 1, 0), (1, 0, 1))
 F2_GRID_B3_C2 = ((2, 0, 1), (0, 2, 0), (1, 0, 1))
@@ -161,6 +162,21 @@ def test_norm_and_trace_poly_are_stable():
     assert trace_poly(f).is_fq_stable()
 
 
+def test_trace_poly_is_sum_of_conjugates():
+    rng = random.Random("permrf:test:trace_poly")
+    for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3),
+                   (3, 1, 3), (2, 2, 3)):
+        t = make_tower(*params)
+        for _ in range(10):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            f = BivarPoly(t, [[rng.randrange(t.size) for _ in range(cols)]
+                              for _ in range(rows)])
+            expected = f
+            for i in range(1, t.n):
+                expected = add(expected, apply_sigma(f, i))
+            assert trace_poly(f) == expected
+
+
 def test_eval_poly():
     t = make_tower(3, 1, 2)
     f = build_f2(t, 3, 1)
@@ -252,6 +268,55 @@ def test_factor_search_verifies_product():
     beta, gamma, delta = conjugate_factor_search(build_f2(t, 3, 1))
     named = norm_poly(bilinear(t, 1, beta, gamma, delta))
     assert named.grid == build_f2(t, 3, 1).grid
+
+
+def test_norm_fiber_matches_norm_scan():
+    for params in ((2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)):
+        t = make_tower(*params)
+        sizes = set()
+        for target in range(t.size):
+            fiber = _norm_fiber(t, target)
+            assert fiber == [d for d in range(t.size)
+                             if t.norm_enc(d) == target]
+            sizes.add(len(fiber))
+        # t = 0, t in F_q* and t outside F_q all occur.
+        assert sizes == {0, 1, (t.size - 1) // (t.q - 1)}
+
+
+def _assert_search_matches_reference(curves, monkeypatch):
+    expected = [reference_factor_search(f) for f in curves]
+    # The pruned search must build its delta fiber without norm_enc.
+    with monkeypatch.context() as m:
+        m.setattr(type(curves[0].tower), "norm_enc", None)
+        found = [conjugate_factor_search(f) for f in curves]
+    assert found == expected
+    return found
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                    (5, 1, 2), (2, 1, 3), (3, 1, 3)])
+def test_factor_search_matches_reference_on_every_curve(params, monkeypatch):
+    t = make_tower(*params)
+    build = build_f2 if t.n == 2 else build_f3
+    curves = [build(t, b, c) for b in range(t.q, t.size)
+              for c in range(1, t.size)]
+    found = _assert_search_matches_reference(curves, monkeypatch)
+    # Every b has its closed form, whose curve factors.
+    assert sum(x is not None for x in found) >= t.size - t.q
+
+
+def test_factor_search_matches_reference_on_products(monkeypatch):
+    rng = random.Random("permrf:test:factor_search_products")
+    for params in ((2, 2, 2), (3, 1, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)):
+        t = make_tower(*params)
+        curves = []
+        for _ in range(12):
+            beta, gamma, delta = (rng.randrange(t.size) for _ in range(3))
+            for g in ((beta, gamma, delta), (beta, gamma, 0),
+                      (beta, beta, delta), (beta, beta, 0)):
+                curves.append(norm_poly(bilinear(t, 1, *g)))
+        found = _assert_search_matches_reference(curves, monkeypatch)
+        assert None not in found
 
 
 def test_named_factorization_n2():
