@@ -17,6 +17,7 @@ import re
 import sys
 
 from . import verify
+from ._pool import map_ordered
 from .bivariate import (
     build_f2,
     build_f3,
@@ -185,7 +186,7 @@ def _cmd_classify(args):
         bs = [args.b]
     else:
         raise UsageError("classify needs --b or --all-b")
-    results = verify.map_ordered(
+    results = map_ordered(
         _classify_one, [(tower, b, args.pretty) for b in bs], args.workers)
     payload = {
         "command": "classify",
@@ -307,12 +308,14 @@ def build_parser():
         sp.add_argument("--budget", type=int, default=None,
                         help="largest allowed field size (default: "
                              "PERMRF_BUDGET if set, else 2^24)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0,
+                        help="sampling seed for verify (others ignore it)")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="processes for verify and classify --all-b "
                              "(default: the CPU count)")
         sp.add_argument("--pretty", action="store_true",
-                        help="add rendered polynomials to the output")
+                        help="add rendered polynomials to the output of "
+                             "field, check, classify, factor and points")
 
     sp = sub.add_parser("field", help="describe a tower")
     common(sp)

@@ -688,6 +688,12 @@ def _checked_bc(tower, b, c):
     return b, c
 
 
+def _size_budget(size_budget):
+    """The budget a tower built with size_budget carries:
+    DEFAULT_SIZE_BUDGET for None."""
+    return DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+
+
 def _check_tower_params(p, m, n, budget):
     if not isinstance(p, int) or _factor_int(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
@@ -887,7 +893,7 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     chosen middle field returns the same tower as leaving them out.
     cache_clear also forgets the middle fields and canonical moduli.
     """
-    budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+    budget = _size_budget(size_budget)
     _check_tower_params(p, m, n, budget)
     g = _canonical_g(p, m) if g is None else _explicit_modulus(g, m, "g")
     h = _canonical_h(p, n, g) if h is None else _explicit_modulus(h, n, "h")

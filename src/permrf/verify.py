@@ -4,10 +4,13 @@ Each suite is a Suite record: its name, its default q values, the modes
 it accepts, and a plan.  For one q the plan yields one entry per report:
 the tower's field spec, the degree n, the mode label, whether the report
 is assertive, and the report's jobs.  A job is a (case, args) pair; the
-case runs as case(*args) in a worker process and returns (cases, passed,
-exceptions).  Jobs carry the tower itself, first in args: a tower
-pickles by its make_tower key, so it reaches a worker in a few dozen
-bytes and unpickles to that worker's cached instance.
+case runs as case(*args) in a worker process, decides one outcome per
+case, the list of that case's exceptions ([] for a pass), and returns
+_tally of them: (cases, passed, exceptions).  Only _tally counts cases
+and passes; the exhaustive proposition case alone counts its size - 1 c
+per b itself, from one bitmask.  Jobs carry the tower itself, first in
+args: a tower pickles by its make_tower key, so it reaches a worker in a
+few dozen bytes and unpickles to that worker's cached instance.
 
 One private runner, _run, takes (suite, qs, mode) entries.  It checks
 them all, plans every report (so every tower is built before any job
@@ -42,7 +45,7 @@ from typing import Callable, Optional
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
 from .errors import EvenCharacteristic, NotPrime, UsageError
-from .gf_core import DEFAULT_SIZE_BUDGET, _factor_int, basis_det_b, make_tower
+from .gf_core import _factor_int, _size_budget, basis_det_b, make_tower
 from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
@@ -108,10 +111,17 @@ def _exc(tower, b, c, detail, extra=None):
 
 
 def _tally(outcomes):
-    """(cases, passed, exceptions) from one outcome per case: None for a
-    pass, otherwise the case's exception."""
-    exceptions = [e for e in outcomes if e is not None]
-    return len(outcomes), len(outcomes) - len(exceptions), exceptions
+    """(cases, passed, exceptions) from one outcome per case: the list of
+    that case's exceptions, empty when it passed."""
+    exceptions = [e for outcome in outcomes for e in outcome]
+    return len(outcomes), outcomes.count([]), exceptions
+
+
+def _verdicts(tower, b, c):
+    """The (direct, reduced, pairwise) permutation verdicts on (b, c)."""
+    return (is_permutation_direct(RatFuncSpec(tower, b, c)),
+            is_permutation_reduced(tower, b, c),
+            pairwise_criterion(tower, b, c).ok)
 
 
 def _jobs_per_b(case, tower, *args):
@@ -169,7 +179,7 @@ def _run(entries, seed, workers, size_budget, samples):
     map_ordered call over all of their jobs."""
     if samples < 0:
         raise UsageError(f"samples must be at least 0, not {samples}")
-    budget = DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+    budget = _size_budget(size_budget)
     checked = [(suite, _fields(suite, qs, mode), mode)
                for suite, qs, mode in entries]
     reports = []
@@ -203,51 +213,43 @@ def _run(entries, seed, workers, size_budget, samples):
 # exactly the closed form.  classify finds every permuting c; spot
 # verifies the closed form and refutes seeded random alternatives.
 
+def _direct_disagrees(tower, b, c, ok):
+    """The case's exceptions when the direct verdict on (b, c) is not ok."""
+    if is_permutation_direct(RatFuncSpec(tower, b, c)) == ok:
+        return []
+    return [_exc(tower, b, c, "direct and pairwise verdicts disagree")]
+
+
 def _case_theorem_n2(tower, seed, mode, b):
     closed = closed_form_c(tower, b)
-    exceptions = []
     rng = random.Random(f"permrf:theorem-n2:{tower.q}:{seed}:{b}")
     if mode == "classify":
         got = classify_c(tower, b)
-        for c in got:
-            if c != closed:
-                exceptions.append(_exc(tower, b, c,
-                                       "permutes but is not the closed form"))
+        exceptions = [_exc(tower, b, c, "permutes but is not the closed form")
+                      for c in got if c != closed]
         if closed not in got:
             exceptions.append(_exc(tower, b, closed,
                                    "closed form fails to permute"))
         for _ in range(10):
             c = rng.randrange(1, tower.size)
-            direct = is_permutation_direct(RatFuncSpec(tower, b, c))
-            if direct != (c in got):
-                exceptions.append(_exc(tower, b, c,
-                                       "direct and pairwise verdicts disagree"))
-        return 1, 0 if exceptions else 1, exceptions
-    cases = 101
-    passed = 0
-    spec = RatFuncSpec(tower, b, closed)
-    if is_permutation_direct(spec) and pairwise_criterion(tower, b, closed).ok:
-        passed += 1
-    else:
-        exceptions.append(_exc(tower, b, closed, "closed form fails to permute"))
-    checked = 0
-    while checked < 100:
-        c = rng.randrange(1, tower.size)
-        if c == closed:
-            continue
-        checked += 1
+            exceptions += _direct_disagrees(tower, b, c, c in got)
+        return _tally([exceptions])
+    # 101 cases per b: the closed form, then 100 seeded other c, the
+    # first ten of them checked directly too.
+    ok = (is_permutation_direct(RatFuncSpec(tower, b, closed))
+          and pairwise_criterion(tower, b, closed).ok)
+    outcomes = [[] if ok else
+                [_exc(tower, b, closed, "closed form fails to permute")]]
+    for i in range(100):
+        c = closed
+        while c == closed:
+            c = rng.randrange(1, tower.size)
         ok = pairwise_criterion(tower, b, c).ok
-        if checked <= 10:
-            direct = is_permutation_direct(RatFuncSpec(tower, b, c))
-            if direct != ok:
-                exceptions.append(_exc(tower, b, c,
-                                       "direct and pairwise verdicts disagree"))
-                continue
-        if ok:
-            exceptions.append(_exc(tower, b, c, "non-closed-form c permutes"))
-        else:
-            passed += 1
-    return cases, passed, exceptions
+        outcome = _direct_disagrees(tower, b, c, ok) if i < 10 else []
+        if ok and not outcome:
+            outcome = [_exc(tower, b, c, "non-closed-form c permutes")]
+        outcomes.append(outcome)
+    return _tally(outcomes)
 
 
 def _plan_theorem_n2(q, p, m, mode, seed, budget, samples):
@@ -263,25 +265,19 @@ def _plan_theorem_n2(q, p, m, mode, seed, budget, samples):
 
 def _case_theorem_n3(tower, mode, b):
     closed = closed_form_c(tower, b)
-    exceptions = []
     if mode == "sufficiency":
-        direct = is_permutation_direct(RatFuncSpec(tower, b, closed))
-        reduced = is_permutation_reduced(tower, b, closed)
-        pairwise = pairwise_criterion(tower, b, closed).ok
-        if not (direct and reduced and pairwise):
-            exceptions.append(_exc(
-                tower, b, closed,
-                f"closed form verdicts direct={direct} reduced={reduced} "
-                f"pairwise={pairwise}"))
-        return 1, 0 if exceptions else 1, exceptions
+        direct, reduced, pairwise = _verdicts(tower, b, closed)
+        return _tally([[] if direct and reduced and pairwise else [_exc(
+            tower, b, closed, f"closed form verdicts direct={direct} "
+            f"reduced={reduced} pairwise={pairwise}")]])
     got = classify_c(tower, b)
+    exceptions = []
     if closed not in got:
-        exceptions.append(_exc(tower, b, closed, "closed form fails to permute"))
-    for c in got:
-        if c != closed:
-            exceptions.append(_exc(tower, b, c,
-                                   "permutes beyond the closed form"))
-    return 1, 1 if got == [closed] else 0, exceptions
+        exceptions.append(_exc(tower, b, closed,
+                               "closed form fails to permute"))
+    exceptions += [_exc(tower, b, c, "permutes beyond the closed form")
+                   for c in got if c != closed]
+    return _tally([exceptions])
 
 
 def _plan_theorem_n3(q, p, m, mode, seed, budget, samples):
@@ -310,10 +306,9 @@ def _case_kernel_term_spot(tower, seed):
     pairs = [(rng.randrange(tower.q, tower.size), rng.randrange(1, tower.size))
              for _ in range(20)]
     return _tally([
-        _exc(tower, b, c, "map with kernel term permutes")
+        [_exc(tower, b, c, "map with kernel term permutes")]
         if is_permutation_direct(RatFuncSpec(tower, b, c, kernel_term))
-        else None
-        for b, c in pairs])
+        else [] for b, c in pairs])
 
 
 def _plan_proposition(q, p, m, mode, seed, budget, samples):
@@ -351,17 +346,13 @@ def _equiv_pool(limit):
 
 
 def _criteria_disagree(tower, b, c):
-    """None when direct, reduced and pairwise agree on (b, c), otherwise
-    the exception."""
-    direct = is_permutation_direct(RatFuncSpec(tower, b, c))
-    reduced = is_permutation_reduced(tower, b, c)
-    pairwise = pairwise_criterion(tower, b, c).ok
+    """No exceptions when direct, reduced and pairwise agree on (b, c)."""
+    direct, reduced, pairwise = _verdicts(tower, b, c)
     if direct == reduced == pairwise:
-        return None
-    return _exc(tower, b, c,
-                f"verdicts disagree: direct={direct} reduced={reduced} "
-                f"pairwise={pairwise}",
-                extra={"field_spec": tower.field_spec})
+        return []
+    return [_exc(tower, b, c, f"verdicts disagree: direct={direct} "
+                 f"reduced={reduced} pairwise={pairwise}",
+                 extra={"field_spec": tower.field_spec})]
 
 
 def _case_equiv(tower, b, c=None):
@@ -395,10 +386,8 @@ def _case_lemma_basis(tower, b):
     rhs = top.mul(tower.norm_enc(b),
                   tower.trace_enc(top.sub(top.pow(b, q - 1),
                                           top.pow(b, q * q - 1))))
-    if det != 0 and det == rhs:
-        return 1, 1, []
-    return 1, 0, [_exc(tower, b, None,
-                       f"determinant {det} vs closed form {rhs}")]
+    return _tally([[] if det != 0 and det == rhs else [
+        _exc(tower, b, None, f"determinant {det} vs closed form {rhs}")]])
 
 
 def _plan_lemma_basis(q, p, m, mode, seed, budget, samples):
@@ -411,55 +400,33 @@ def _plan_lemma_basis(q, p, m, mode, seed, budget, samples):
 # bilinear factors, and for degree 2 only there.
 
 def _case_factorizations(tower, b):
-    top, q = tower.top, tower.q
+    top = tower.top
     closed = closed_form_c(tower, b)
-    exceptions = []
-    cases = passed = 0
     if tower.n == 2:
         f = build_f2(tower, b, closed)
-        bq = tower.frob_enc(b)
         delta = top.sub(tower.trace_enc(top.mul(b, b)), tower.norm_enc(b))
-        named = norm_poly(bilinear(tower, 1, b, bq, delta))
-        cases += 1
-        if f == named:
-            passed += 1
-        else:
-            exceptions.append(_exc(tower, b, closed,
-                                   "curve differs from its named factorization"))
-        if q <= 4:
-            for c in range(1, tower.size):
-                if c == closed:
-                    continue
-                cases += 1
-                found = conjugate_factor_search(build_f2(tower, b, c))
-                if found is None:
-                    passed += 1
-                else:
-                    exceptions.append(_exc(
-                        tower, b, c,
-                        f"unexpected conjugate factorization {found}"))
-        return cases, passed, exceptions
-    f = build_f3(tower, b, closed)
-    delta = top.sub(top.mul(b, b), closed)
-    named = norm_poly(bilinear(tower, 1, b, b, delta))
-    cases += 1
-    if f == named:
-        passed += 1
+        factor = bilinear(tower, 1, b, tower.frob_enc(b), delta)
     else:
-        exceptions.append(_exc(tower, b, closed,
-                               "curve differs from its named factorization"))
-    if q <= 3:
-        cases += 1
-        conjugates = sorted({tower.frob_enc(b, i) for i in range(3)})
+        f = build_f3(tower, b, closed)
+        factor = bilinear(tower, 1, b, b, top.sub(top.mul(b, b), closed))
+    outcomes = [[] if f == norm_poly(factor) else
+                [_exc(tower, b, closed,
+                      "curve differs from its named factorization")]]
+    if tower.n == 2 and tower.q <= 4:
+        for c in range(1, tower.size):
+            if c != closed:
+                found = conjugate_factor_search(build_f2(tower, b, c))
+                outcomes.append([] if found is None else [
+                    _exc(tower, b, c,
+                         f"unexpected conjugate factorization {found}")])
+    elif tower.n == 3 and tower.q <= 3:
+        least = min(tower.frob_enc(b, i) for i in range(3))
         found = conjugate_factor_search(f)
-        if found is not None and found[0] == conjugates[0] and found[0] == found[1]:
-            passed += 1
-        else:
-            exceptions.append(_exc(
-                tower, b, closed,
-                f"factor search returned {found}, expected the least "
-                f"conjugate {conjugates[0]} twice"))
-    return cases, passed, exceptions
+        ok = found is not None and found[0] == least == found[1]
+        outcomes.append([] if ok else [
+            _exc(tower, b, closed, f"factor search returned {found}, "
+                 f"expected the least conjugate {least} twice")])
+    return _tally(outcomes)
 
 
 def _plan_factorizations(q, p, m, mode, seed, budget, samples):
@@ -476,9 +443,8 @@ def _plan_factorizations(q, p, m, mode, seed, budget, samples):
 
 def _case_remark3(tower, b):
     c = closed_form_c(tower, b)
-    if remark3_check(tower, b, c):
-        return 1, 1, []
-    return 1, 0, [_exc(tower, b, c, "trace reaches 1 on the (u, v) grid")]
+    return _tally([[] if remark3_check(tower, b, c) else
+                   [_exc(tower, b, c, "trace reaches 1 on the (u, v) grid")]])
 
 
 def _plan_remark3(q, p, m, mode, seed, budget, samples):
@@ -493,17 +459,11 @@ def _plan_remark3(q, p, m, mode, seed, budget, samples):
 # the closed form, and the map permutes the whole top field.
 
 def _case_corollary(tower, d, b):
-    exceptions = []
-    cases = passed = 0
-    for c in lifted_c_set(tower, b, d):
-        cases += 1
-        if is_permutation_direct(RatFuncSpec(tower, b, c)):
-            passed += 1
-        else:
-            exceptions.append(_exc(tower, b, c,
-                                   f"lifted c fails to permute (d={d})",
-                                   extra={"d": d}))
-    return cases, passed, exceptions
+    return _tally([
+        [] if is_permutation_direct(RatFuncSpec(tower, b, c)) else
+        [_exc(tower, b, c, f"lifted c fails to permute (d={d})",
+              extra={"d": d})]
+        for c in lifted_c_set(tower, b, d)])
 
 
 def _plan_corollary(q, p, m, mode, seed, budget, samples):

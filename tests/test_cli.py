@@ -224,20 +224,27 @@ def test_verify_stdout_is_deterministic(capsys):
 # --seed 0, recorded before the pair tests moved to the shared log-domain
 # scan; a change to any witness, classification or byte of the report
 # moves the digest.
-CANONICAL_DIGESTS = [
-    (("--suite", "proposition", "--q", "4,5"),
-     "7be588ab8caefd71a11334eeb0dfbf5bbfcf4b3750f80e18a00234c08f2f962b"),
-    (("--suite", "theorem-n2", "--q", "3,4,5", "--mode", "classify"),
-     "3d3dab19eb75c3899847969dbae8381b73be7b29ae6f3c4a03d95d9f3f056351"),
-    (("--suite", "theorem-n3", "--q", "2,3", "--mode", "full-classify"),
-     "704ec9646e135695d5391c1a3cf833d29824feff93767483bb3554a1ba679f44"),
-    (("--suite", "lemma-equiv", "--samples", "30"),
-     "8af5f2ba0091eb218c2ba34c68dd5d86f36328317a6be069b9155f5f2c40f926"),
-]
+CANONICAL_DIGESTS = {
+    "proposition": (
+        ("--suite", "proposition", "--q", "4,5"),
+        "7be588ab8caefd71a11334eeb0dfbf5bbfcf4b3750f80e18a00234c08f2f962b"),
+    "theorem-n2": (
+        ("--suite", "theorem-n2", "--q", "3,4,5", "--mode", "classify"),
+        "3d3dab19eb75c3899847969dbae8381b73be7b29ae6f3c4a03d95d9f3f056351"),
+    "theorem-n2-spot": (
+        ("--suite", "theorem-n2", "--q", "3,4,5,7", "--mode", "spot"),
+        "6c49bf4139779082e0d71662c5441df3a69a04f383221f61f47f576f8b79599a"),
+    "theorem-n3": (
+        ("--suite", "theorem-n3", "--q", "2,3", "--mode", "full-classify"),
+        "704ec9646e135695d5391c1a3cf833d29824feff93767483bb3554a1ba679f44"),
+    "lemma-equiv": (
+        ("--suite", "lemma-equiv", "--samples", "30"),
+        "8af5f2ba0091eb218c2ba34c68dd5d86f36328317a6be069b9155f5f2c40f926"),
+}
 
 
-@pytest.mark.parametrize("argv,digest", CANONICAL_DIGESTS,
-                         ids=[a[1] for a, _ in CANONICAL_DIGESTS])
+@pytest.mark.parametrize("argv,digest", list(CANONICAL_DIGESTS.values()),
+                         ids=list(CANONICAL_DIGESTS))
 def test_verify_canonical_stdout_digest(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("PERMRF_BUDGET", raising=False)
     code, out, err = run_cli(capsys, "verify", *argv,

@@ -22,7 +22,7 @@ from permrf import (
     run_suite,
 )
 from permrf.errors import EvenCharacteristic, NotPrime, UsageError
-from permrf.gf_core import DEFAULT_SIZE_BUDGET
+from permrf.gf_core import DEFAULT_SIZE_BUDGET, Element
 from permrf.verify import (
     BATTERY,
     CSV_COLUMNS,
@@ -247,6 +247,107 @@ def test_corollary_counts():
     assert n6.cases_total == 2 * 16 + 6 * 8
     assert n4.verdict == n6.verdict == "pass"
 
+
+# Failure paths.  The battery passes everywhere, so these break one name
+# verify imports and pin what every report then counts.  Each expected
+# row is (cases_total, cases_passed, exceptions, verdict, first detail).
+
+_closed_form_c = verify.closed_form_c
+_is_permutation_reduced = verify.is_permutation_reduced
+
+
+def _shifted_closed_form(tower, b):
+    # Never the closed form: c -> c mod (size - 1) + 1 moves every c.
+    return _closed_form_c(tower, b) % (tower.size - 1) + 1
+
+
+def _negated_reduced(tower, b, c):
+    return not _is_permutation_reduced(tower, b, c)
+
+
+BREAKS = {
+    "closed": ("closed_form_c", _shifted_closed_form),
+    "direct": ("is_permutation_direct", lambda spec: True),
+    "reduced": ("is_permutation_reduced", _negated_reduced),
+    "lifted": ("lifted_c_set", lambda tower, b, d: [1, 2, 3, 4, 5]),
+    "det": ("basis_det_b", lambda tower, b: Element(tower, "top", 1)),
+}
+
+FAILURE_PINS = [
+    ("closed", "theorem-n2", (3, 4), "classify", [
+        (6, 0, 12, "fail", "permutes but is not the closed form"),
+        (12, 0, 24, "fail", "permutes but is not the closed form")]),
+    ("closed", "theorem-n2", (3, 4), "spot", [
+        (606, 523, 83, "fail", "closed form fails to permute"),
+        (1212, 1115, 97, "fail", "closed form fails to permute")]),
+    ("closed", "theorem-n3", (2, 3), "sufficiency", [
+        (6, 0, 6, "fail", "closed form verdicts direct=False reduced=False "
+         "pairwise=False"),
+        (24, 0, 24, "fail", "closed form verdicts direct=False reduced=False "
+         "pairwise=False")]),
+    ("closed", "theorem-n3", (2, 3), "full-classify", [
+        (6, 0, 24, "report-only", "closed form fails to permute"),
+        (24, 0, 144, "report-only", "closed form fails to permute")]),
+    ("closed", "factorizations", (2, 3), None, [
+        (6, 2, 4, "fail", "curve differs from its named factorization"),
+        (12, 0, 12, "fail", "curve differs from its named factorization"),
+        (48, 36, 12, "fail", "curve differs from its named factorization"),
+        (48, 0, 48, "fail", "curve differs from its named factorization")]),
+    ("closed", "remark3", (3,), None, [
+        (24, 0, 24, "fail", "trace reaches 1 on the (u, v) grid")]),
+    ("direct", "theorem-n2", (3,), "classify", [
+        (6, 0, 54, "fail", "direct and pairwise verdicts disagree")]),
+    ("direct", "theorem-n2", (3,), "spot", [
+        (606, 546, 60, "fail", "direct and pairwise verdicts disagree")]),
+    ("direct", "proposition", (4,), None, [
+        (200, 180, 20, "fail", "map with kernel term permutes"),
+        (3800, 3420, 380, "report-only", "no zero-trace pair")]),
+    ("direct", "lemma-equiv", None, None, [
+        (1385, 179, 1206, "fail", "verdicts disagree: direct=True "
+         "reduced=False pairwise=False")]),
+    ("reduced", "theorem-n3", (2, 3), "sufficiency", [
+        (6, 0, 6, "fail", "closed form verdicts direct=True reduced=False "
+         "pairwise=True"),
+        (24, 0, 24, "fail", "closed form verdicts direct=True reduced=False "
+         "pairwise=True")]),
+    ("reduced", "lemma-equiv", None, None, [
+        (1385, 0, 1385, "fail", "verdicts disagree: direct=True "
+         "reduced=False pairwise=True")]),
+    ("lifted", "corollary", (2,), None, [
+        (10, 10, 0, "pass", None),
+        (40, 24, 16, "fail", "lifted c fails to permute (d=3)")]),
+    ("det", "lemma-basis", (2, 3), None, [
+        (6, 6, 0, "pass", None),
+        (24, 12, 12, "fail", "determinant 1 vs closed form 2")]),
+]
+
+
+@pytest.mark.parametrize(
+    "brk,name,qs,mode,expected", FAILURE_PINS,
+    ids=[f"{brk}-{name}-{mode}" for brk, name, _, mode, _ in FAILURE_PINS])
+def test_failure_paths_count_each_case(monkeypatch, brk, name, qs, mode,
+                                       expected):
+    monkeypatch.setattr(verify, *BREAKS[brk])
+    reports = run_suite(name, qs, mode=mode, samples=5)
+    assert [(r.cases_total, r.cases_passed, len(r.exceptions), r.verdict,
+             r.exceptions[0]["detail"] if r.exceptions else None)
+            for r in reports] == expected
+
+
+@pytest.mark.parametrize("size_budget", [None, 5000])
+def test_report_budget_is_its_towers_budget(monkeypatch, size_budget):
+    towers = []
+
+    def recording(*args, **kwargs):
+        towers.append(make_tower(*args, **kwargs))
+        return towers[-1]
+
+    monkeypatch.setattr(verify, "make_tower", recording)
+    reports = run_suite("proposition", (4,), size_budget=size_budget)
+    assert len(towers) == len(reports) == 2
+    assert ({t.size_budget for t in towers}
+            == {r.size_budget for r in reports}
+            == {DEFAULT_SIZE_BUDGET if size_budget is None else size_budget})
 
 def test_run_suite_validation():
     with pytest.raises(UsageError):
