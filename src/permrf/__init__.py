@@ -26,13 +26,7 @@ from .gf_core import (
     FieldTower,
     basis_det_b,
     dual_basis,
-    frobenius,
-    invert,
-    is_in_subfield,
     make_tower,
-    norm,
-    trace,
-    trace_rel,
 )
 from .linmaps import (
     LinearizedPoly,
@@ -47,20 +41,16 @@ from .ratfunc import (
     Criterion,
     KernelCriterion,
     RatFuncSpec,
-    TwistedForm,
     classify_c,
     closed_form_c,
     eval_rf,
-    eval_twisted,
     is_permutation,
     is_permutation_direct,
     is_permutation_reduced,
-    is_permutation_twisted,
     kernel_criterion,
     lifted_c_set,
     normalize_spec,
     pairwise_criterion,
-    remark2_transform,
     remark3_check,
 )
 from .verify import (
@@ -85,7 +75,6 @@ __all__ = [
     "RatFuncSpec",
     "SizeBudgetExceeded",
     "SuiteReport",
-    "TwistedForm",
     "UsageError",
     "basis_det_b",
     "build_f2",
@@ -99,35 +88,26 @@ __all__ = [
     "dual_basis",
     "eval_poly",
     "eval_rf",
-    "eval_twisted",
     "from_matrix",
-    "frobenius",
-    "invert",
     "invert_lin",
-    "is_in_subfield",
     "is_permutation",
     "is_permutation_direct",
     "is_permutation_reduced",
-    "is_permutation_twisted",
     "kernel_criterion",
     "lifted_c_set",
     "make_tower",
     "matrix_of",
-    "norm",
     "norm_poly",
     "normalize_spec",
     "pairwise_criterion",
     "rank_kernel_image",
-    "remark2_transform",
     "remark3_check",
     "reports_to_csv",
     "reports_to_json",
     "run_battery",
     "run_suite",
-    "trace",
     "trace_decompose",
     "trace_poly",
-    "trace_rel",
     "weil_holds",
     "weil_threshold",
 ]

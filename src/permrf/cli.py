@@ -5,9 +5,6 @@ Every element crosses this boundary as its canonical integer encoding;
 is JSON on stdout (sorted keys, two-space indent), so identical argv and
 seed give byte-identical bytes.  Library errors surface as a JSON object
 on stderr with exit code 2; a failing assertive suite exits 1.
-
-The element size budget is resolved in order: --budget flag, then the
-PERMRF_BUDGET environment variable, then the built-in default.
 """
 
 import argparse
@@ -67,19 +64,6 @@ def _parse_coeffs(text, what):
     except ValueError:
         raise UsageError(f"{what} must be a comma-separated list "
                          f"of integers, not {text!r}") from None
-
-
-def _resolve_budget(args):
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("PERMRF_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(
-                f"PERMRF_BUDGET must be an integer, not {env!r}") from None
-    return None
 
 
 def _tower_for(args):
@@ -305,17 +289,15 @@ def build_parser():
                             help="middle modulus coefficients, low to high")
             sp.add_argument("--modulus-h", default=None,
                             help="top modulus coefficients, low to high")
+            sp.add_argument("--pretty", action="store_true",
+                            help="add rendered polynomials to the output")
         sp.add_argument("--budget", type=int, default=None,
-                        help="largest allowed field size (default: "
-                             "PERMRF_BUDGET if set, else 2^24)")
+                        help="largest allowed field size (default: 2^24)")
         sp.add_argument("--seed", type=int, default=0,
                         help="sampling seed for verify (others ignore it)")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="processes for verify and classify --all-b "
                              "(default: the CPU count)")
-        sp.add_argument("--pretty", action="store_true",
-                        help="add rendered polynomials to the output of "
-                             "field, check, classify, factor and points")
 
     sp = sub.add_parser("field", help="describe a tower")
     common(sp)
@@ -356,7 +338,6 @@ def build_parser():
     sp.set_defaults(fn=_cmd_points)
 
     sp = sub.add_parser("weil", help="exact point-count gate")
-    common(sp, field=False)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(fn=_cmd_weil)
@@ -387,9 +368,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
+        if "workers" in args and args.workers < 1:
             raise UsageError(f"--workers must be at least 1, not {args.workers}")
-        args.budget = _resolve_budget(args)
         payload, code = args.fn(args)
     except PermRFError as err:
         json.dump({"error": type(err).__name__, "detail": str(err)},

@@ -69,10 +69,6 @@ class UnsupportedDegree(PermRFError):
     pass
 
 
-class BadAlpha(PermRFError):
-    pass
-
-
 class EvenCharacteristic(PermRFError):
     pass
 

@@ -823,12 +823,9 @@ class FieldTower:
                 f"need to | frm | n, got to={to} frm={frm} n={self.n}")
         if not self.in_subfield_enc(a, frm):
             raise NotInSubfield(f"encoding {a} is not in F_q^{frm}")
-        step = self.q ** to
         acc = 0
-        t = a
-        for _ in range(frm // to):
-            acc = self.top.add(acc, t)
-            t = self.top.pow(t, step)
+        for i in range(0, frm, to):
+            acc = self.top.add(acc, self.frob_enc(a, i))
         return acc
 
     def elements(self, level="top"):
@@ -907,45 +904,6 @@ def _clear_caches():
 
 make_tower.cache_info = _cached_tower.cache_info
 make_tower.cache_clear = _clear_caches
-
-
-def frobenius(a, i=1):
-    """a^(q^i) for a top-level element, 0 <= i < n."""
-    if a.level != "top":
-        raise LevelMismatch("frobenius acts on top-level elements")
-    return Element(a.tower, "top", a.tower.frob_enc(a.enc, i))
-
-
-def trace_rel(a, frm, to):
-    """Relative trace of a from F_{q^frm} onto F_{q^to}, as a top element."""
-    if a.level != "top":
-        raise LevelMismatch("trace_rel acts on top-level elements")
-    return Element(a.tower, "top", a.tower.trace_rel_enc(a.enc, frm, to))
-
-
-def trace(a):
-    """Absolute trace onto F_q, as a top element with encoding below q."""
-    if a.level != "top":
-        raise LevelMismatch("trace acts on top-level elements")
-    return Element(a.tower, "top", a.tower.trace_enc(a.enc))
-
-
-def norm(a):
-    """Norm onto F_q, as a top element with encoding below q."""
-    if a.level != "top":
-        raise LevelMismatch("norm acts on top-level elements")
-    return Element(a.tower, "top", a.tower.norm_enc(a.enc))
-
-
-def invert(a):
-    return Element(a.tower, a.level, a.tower.ops(a.level).inv(a.enc))
-
-
-def is_in_subfield(a, d):
-    """Whether a top-level element lies in the intermediate field F_{q^d}."""
-    if a.level != "top":
-        raise LevelMismatch("subfield test acts on top-level elements")
-    return a.tower.in_subfield_enc(a.enc, d)
 
 
 def dual_basis(tower, basis):

@@ -54,7 +54,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import (
-    BadAlpha,
     EvenCharacteristic,
     LevelMismatch,
     NotInSubfield,
@@ -93,12 +92,6 @@ class Criterion(NamedTuple):
 class KernelCriterion(NamedTuple):
     exists: bool
     witness: Optional[tuple]
-
-
-class TwistedForm(NamedTuple):
-    alpha: int
-    b2: int
-    c2: int
 
 
 def eval_rf(spec, x):
@@ -324,47 +317,6 @@ def is_permutation(spec):
     _, (beta,), _ = rank_kernel_image(_adjoint(spec.L))
     shifted = tower.top.mul(beta, spec.c)
     return not kernel_criterion(tower, spec.b, shifted).exists
-
-
-def remark2_transform(tower, b, c, alpha=None):
-    """Twist a degree 2 standard form into x + c2/(x^q - x + b2).
-
-    c2 = alpha^(q+1) * c and b2 = alpha^q * b for an alpha with
-    alpha^(q-1) = -1; when alpha is omitted the smallest such encoding
-    is used.  The twisted map permutes exactly when the original does,
-    and its denominator stays nonzero because Tr(b2) != 0.
-    """
-    b, c = _checked_bc(tower, b, c)
-    if tower.n != 2:
-        raise UnsupportedDegree("the twist is specific to degree 2")
-    top = tower.top
-    q = tower.q
-    minus_one = top.neg(1)
-    if alpha is None:
-        alpha = next(a for a in range(1, tower.size)
-                     if top.pow(a, q - 1) == minus_one)
-    else:
-        alpha = _enc(alpha)
-        if alpha == 0 or top.pow(alpha, q - 1) != minus_one:
-            raise BadAlpha(f"alpha encoding {alpha} has alpha^(q-1) != -1")
-    aq = tower.frob_enc(alpha)
-    return TwistedForm(alpha, top.mul(aq, b), top.mul(top.mul(aq, alpha), c))
-
-
-def eval_twisted(tower, tf, x):
-    top = tower.top
-    den = top.add(top.sub(tower.frob_table[x], x), tf.b2)
-    return top.add(x, top.mul(tf.c2, top.inv(den)))
-
-
-def is_permutation_twisted(tower, tf):
-    seen = bytearray(tower.size)
-    for x in range(tower.size):
-        y = eval_twisted(tower, tf, x)
-        if seen[y]:
-            return False
-        seen[y] = 1
-    return True
 
 
 def remark3_check(tower, b, c):

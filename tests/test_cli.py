@@ -1,5 +1,5 @@
-"""Command line surface: output schema, exit codes, determinism, and
-budget resolution.
+"""Command line surface: output schema, exit codes, determinism, the
+size budget flag, and which flags each command takes.
 """
 
 import hashlib
@@ -245,8 +245,7 @@ CANONICAL_DIGESTS = {
 
 @pytest.mark.parametrize("argv,digest", list(CANONICAL_DIGESTS.values()),
                          ids=list(CANONICAL_DIGESTS))
-def test_verify_canonical_stdout_digest(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("PERMRF_BUDGET", raising=False)
+def test_verify_canonical_stdout_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, "verify", *argv,
                              "--workers", "1", "--seed", "0")
     assert code == 0 and err == ""
@@ -262,8 +261,7 @@ BATTERY_CSV_DIGEST = (
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_battery_digests(capsys, monkeypatch, tmp_path, workers):
-    monkeypatch.delenv("PERMRF_BUDGET", raising=False)
+def test_verify_battery_digests(capsys, tmp_path, workers):
     csv_path = tmp_path / "battery.csv"
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
                              "--workers", workers, "--seed", "0",
@@ -346,17 +344,45 @@ def test_verify_help_names_every_mode(capsys, monkeypatch):
 
 
 def test_budget_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("PERMRF_BUDGET", "100")
-    code, _, err = run_cli(capsys, "field", "--field", "3:5")
+    """--budget is the one way to set the budget; the environment has no say."""
+    monkeypatch.setenv("PERMRF_BUDGET", "junk")
+    code, _, err = run_cli(capsys, "field", "--field", "3:5",
+                           "--budget", "100")
     assert code == 2
     assert json.loads(err)["error"] == "SizeBudgetExceeded"
     code, _, _ = run_cli(capsys, "field", "--field", "3:5",
                          "--budget", "300")
     assert code == 0
-    monkeypatch.setenv("PERMRF_BUDGET", "junk")
-    code, _, err = run_cli(capsys, "field", "--field", "3:2")
-    assert code == 2
-    assert json.loads(err)["error"] == "UsageError"
+    code, _, _ = run_cli(capsys, "field", "--field", "3:5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("weil", "--degree", "4", "--budget", "100"),
+    ("weil", "--degree", "4", "--seed", "0"),
+    ("weil", "--degree", "4", "--workers", "1"),
+    ("weil", "--degree", "4", "--pretty"),
+    ("verify", "--suite", "corollary", "--pretty"),
+])
+def test_unread_flags_are_parse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "--field", "3:2"),
+    ("check", "--field", "3:2", "--b", "3", "--c", "1"),
+    ("classify", "--field", "3:2", "--b", "3"),
+    ("factor", "--field", "3:2", "--b", "3", "--c", "1"),
+    ("points", "--field", "3:2", "--b", "3", "--c", "1", "--which", "f2"),
+])
+def test_field_commands_take_seed_workers_pretty(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "0", "--workers", "1",
+                             "--pretty")
+    assert code == 0 and err == ""
+    check_schema(json.loads(out))
 
 
 def test_custom_modulus_flags(capsys):

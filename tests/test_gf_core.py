@@ -20,15 +20,9 @@ from permrf import (
     LinearizedPoly,
     basis_det_b,
     dual_basis,
-    frobenius,
     gf_core,
-    invert,
-    is_in_subfield,
     make_tower,
     matrix_of,
-    norm,
-    trace,
-    trace_rel,
 )
 from permrf.errors import (
     BInBaseField,
@@ -402,6 +396,26 @@ def test_relative_trace_transitivity():
         assert t.trace_rel_enc(mid_val, 2, 1) == t.trace_enc(a)
 
 
+@pytest.mark.parametrize("p,m,n", [(2, 1, 4), (3, 1, 4), (2, 2, 4),
+                                   (2, 1, 6), (5, 1, 4)])
+def test_relative_trace_is_sum_of_powers(p, m, n):
+    """Tr_{frm/to}(a) = sum of a^(q^(to*k)) for k below frm/to, by powering."""
+    t = make_tower(p, m, n)
+    top = t.top
+    for frm in range(1, n + 1):
+        if n % frm:
+            continue
+        sub = [a for a in t.elements("top") if t.in_subfield_enc(a, frm)]
+        for to in range(1, frm + 1):
+            if frm % to:
+                continue
+            for a in sub:
+                want = 0
+                for k in range(frm // to):
+                    want = top.add(want, top.pow(a, t.q ** (to * k)))
+                assert t.trace_rel_enc(a, frm, to) == want
+
+
 def test_constructor_validation():
     with pytest.raises(NotPrime):
         make_tower(4, 1, 2)
@@ -541,17 +555,17 @@ def test_pretty_rendering():
 
 
 def test_free_functions_wrap_elements():
+    """Frobenius, trace, norm, inverse and the subfield test of one
+    element, through the tower's encoding methods and Element division."""
     t = make_tower(3, 1, 2)
     a = t.element("top", 3)
-    assert frobenius(a).enc == 6
-    assert trace(a).enc == 0
-    assert norm(a).enc == 1
-    assert invert(a).enc == 6
-    assert not is_in_subfield(a, 1)
+    assert t.frob_enc(a.enc) == 6
+    assert t.trace_enc(a.enc) == 0
+    assert t.norm_enc(a.enc) == 1
+    assert (1 / a).enc == 6
+    assert not t.in_subfield_enc(a.enc, 1)
     with pytest.raises(OutOfRange):
-        frobenius(a, 2)
-    with pytest.raises(LevelMismatch):
-        trace(t.element("mid", 1))
+        t.frob_enc(a.enc, 2)
 
 
 def test_dual_basis_f4():

@@ -1,6 +1,6 @@
 """The rational family x -> L(x) + c/(Tr(x) + b): evaluation, the three
-permutation criteria, classification, closed forms, and the degree 2
-twist.  Frozen values come from an independent implementation.
+permutation criteria, classification, closed forms, and the degree 3
+trace-one scan.  Frozen values come from an independent implementation.
 """
 
 import random
@@ -14,23 +14,19 @@ from permrf import (
     classify_c,
     closed_form_c,
     eval_rf,
-    eval_twisted,
     is_permutation,
     is_permutation_direct,
     is_permutation_reduced,
-    is_permutation_twisted,
     kernel_criterion,
     lifted_c_set,
     make_tower,
     normalize_spec,
     pairwise_criterion,
     rank_kernel_image,
-    remark2_transform,
     remark3_check,
     invert_lin,
 )
 from permrf.errors import (
-    BadAlpha,
     BInBaseField,
     BZero,
     CZero,
@@ -304,32 +300,6 @@ def test_normalize_spec_conjugation():
             for z in t.elements("top"):
                 pre = Linv.eval_enc(top.mul(z, ainv))
                 assert eval_rf(std, z) == top.mul(alpha, eval_rf(spec, pre))
-
-
-def test_remark2_twist_frozen_f9():
-    t = make_tower(3, 1, 2)
-    tf = remark2_transform(t, 3, 1)
-    assert (tf.alpha, tf.b2, tf.c2) == (3, 1, 1)
-
-
-def test_remark2_twist_preserves_permuting():
-    t = make_tower(3, 1, 2)
-    for b in range(3, 9):
-        for c in range(1, 9):
-            tf = remark2_transform(t, b, c)
-            assert is_permutation_twisted(t, tf) == \
-                pairwise_criterion(t, b, c).ok
-            outputs = {eval_twisted(t, tf, x) for x in t.elements("top")}
-            direct = is_permutation_direct(RatFuncSpec(t, b, c))
-            assert (len(outputs) == t.size) == direct
-
-
-def test_remark2_validation():
-    t = make_tower(3, 1, 2)
-    with pytest.raises(BadAlpha):
-        remark2_transform(t, 3, 1, alpha=1)
-    with pytest.raises(UnsupportedDegree):
-        remark2_transform(make_tower(3, 1, 3), 3, 2)
 
 
 def test_remark3_frozen():
