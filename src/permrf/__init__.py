@@ -22,7 +22,6 @@ from .bivariate import (
 from .errors import PermRFError, SizeBudgetExceeded, UsageError
 from .gf_core import (
     DEFAULT_SIZE_BUDGET,
-    Element,
     FieldTower,
     basis_det_b,
     dual_basis,
@@ -67,7 +66,6 @@ __all__ = [
     "BivarPoly",
     "Criterion",
     "DEFAULT_SIZE_BUDGET",
-    "Element",
     "FieldTower",
     "KernelCriterion",
     "LinearizedPoly",

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
-from .gf_core import FieldTower, _checked_bc, _enc, _power, _render_terms
+from .gf_core import FieldTower, _check_bc, _power, _render_terms
 
 
 def _trim(grid):
@@ -122,7 +122,6 @@ def sub(f, g):
 
 def scalar_mul(f, a):
     top = f.tower.top
-    a = _enc(a)
     return BivarPoly(f.tower, [[top.mul(a, x) for x in row] for row in f.grid])
 
 
@@ -185,7 +184,7 @@ def build_f2(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^q (X+b)(Y+b)); bidegree (2, 2)."""
     if tower.n != 2:
         raise UnsupportedDegree("this curve is specific to degree 2")
-    b, c = _checked_bc(tower, b, c)
+    _check_bc(tower, b, c)
     w = _shifted_product(tower, b)
     cq = tower.frob_enc(c)
     return sub(norm_poly(w), trace_poly(scalar_mul(w, cq))).expect_bidegree(2, 2)
@@ -206,7 +205,7 @@ def build_f3(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); bidegree (3, 3)."""
     if tower.n != 3:
         raise UnsupportedDegree("this curve is specific to degree 3")
-    b, c = _checked_bc(tower, b, c)
+    _check_bc(tower, b, c)
     return sub(norm_poly(_shifted_product(tower, b)),
                build_f3_kernel(tower, b, c)).expect_bidegree(3, 3)
 
@@ -220,7 +219,7 @@ def build_f3_kernel(tower, b, c):
     """
     if tower.n != 3:
         raise UnsupportedDegree("this curve is specific to degree 3")
-    b, c = _checked_bc(tower, b, c)
+    _check_bc(tower, b, c)
     cqq = tower.frob_enc(c, 2)
     kern = trace_poly(scalar_mul(_quartic_product(tower, b), cqq))
     return kern.expect_bidegree(2, 2)

@@ -33,7 +33,6 @@ from .ratfunc import (
     closed_form_c,
     is_permutation_direct,
     is_permutation_reduced,
-    kernel_criterion,
     normalize_spec,
     pairwise_criterion,
 )
@@ -163,13 +162,10 @@ def _classify_one(job):
 
 
 def _cmd_classify(args):
+    if args.all_b == (args.b is not None):
+        raise UsageError("classify takes one of --b and --all-b")
     tower = _tower_for(args)
-    if args.all_b:
-        bs = list(range(tower.q, tower.size))
-    elif args.b is not None:
-        bs = [args.b]
-    else:
-        raise UsageError("classify needs --b or --all-b")
+    bs = list(range(tower.q, tower.size)) if args.all_b else [args.b]
     results = map_ordered(
         _classify_one, [(tower, b, args.pretty) for b in bs], args.workers)
     payload = {

@@ -80,9 +80,6 @@ DEFAULT_SIZE_BUDGET = 1 << 24
 # RSS over a run of builds, 37-entry ones did not.
 _MAX_CHUNK = 256
 
-LEVELS = ("base", "mid", "top")
-
-
 class _Sized:
     """Items with a known count, so that list() or list.extend() sizes
     the table once.  A table grown item by item is moved as it grows,
@@ -512,135 +509,6 @@ class _ExtField:
         return self._exp[(self._log[a] * e) % (self.size - 1)]
 
 
-class Element:
-    """A field element bound to a tower and a level, wrapping an encoding.
-
-    Operators accept a plain int as the other operand and read it as an
-    encoding at the same level.  Mixing levels raises LevelMismatch; convert
-    explicitly with at_level.  Equality and hashing go by encoding alone,
-    as for the int it wraps.
-    """
-
-    __slots__ = ("tower", "level", "enc")
-
-    def __init__(self, tower, level, enc):
-        ops = tower.ops(level)
-        if not 0 <= enc < ops.size:
-            raise OutOfRange(f"encoding {enc} outside field of size {ops.size}")
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "enc", enc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, Element):
-            if other.tower is not self.tower:
-                raise LevelMismatch("elements from different towers")
-            if other.level != self.level:
-                raise LevelMismatch(
-                    f"cannot combine {self.level} with {other.level}; "
-                    "convert with at_level first")
-            return other.enc
-        if isinstance(other, int):
-            ops = self.tower.ops(self.level)
-            if not 0 <= other < ops.size:
-                raise OutOfRange(f"encoding {other} outside field of size {ops.size}")
-            return other
-        return None
-
-    def _make(self, enc):
-        return Element(self.tower, self.level, enc)
-
-    def __add__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        return self._make(self.tower.ops(self.level).add(self.enc, enc))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        return self._make(self.tower.ops(self.level).sub(self.enc, enc))
-
-    def __rsub__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        return self._make(self.tower.ops(self.level).sub(enc, self.enc))
-
-    def __mul__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        return self._make(self.tower.ops(self.level).mul(self.enc, enc))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        ops = self.tower.ops(self.level)
-        return self._make(ops.mul(self.enc, ops.inv(enc)))
-
-    def __rtruediv__(self, other):
-        enc = self._coerce(other)
-        if enc is None:
-            return NotImplemented
-        ops = self.tower.ops(self.level)
-        return self._make(ops.mul(enc, ops.inv(self.enc)))
-
-    def __neg__(self):
-        return self._make(self.tower.ops(self.level).neg(self.enc))
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        return self._make(self.tower.ops(self.level).pow(self.enc, e))
-
-    def __eq__(self, other):
-        # Any finer rule breaks transitivity through the int it wraps.
-        if isinstance(other, (Element, int)):
-            return self.enc == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.enc)
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __int__(self):
-        return self.enc
-
-    def __repr__(self):
-        return f"<{self.level} {self.enc}: {self.pretty()}>"
-
-    def pretty(self):
-        return self.tower.pretty_enc(self.level, self.enc)
-
-    def at_level(self, level):
-        """The same element re-bound at another level, if it lies there."""
-        if level not in LEVELS:
-            raise LevelMismatch(f"unknown level {level!r}")
-        if level == self.level:
-            return self
-        target = self.tower.ops(level)
-        if self.enc < target.size:
-            return Element(self.tower, level, self.enc)
-        raise NotInSubfield(
-            f"{self.level} encoding {self.enc} does not lie in {level}")
-
-
-def _enc(x):
-    return x.enc if isinstance(x, Element) else x
-
-
 def _power(var, e):
     """var^e as text: "" for e = 0, var alone for e = 1."""
     return "" if e == 0 else var if e == 1 else f"{var}^{e}"
@@ -677,15 +545,13 @@ def _check_b(tower, b):
         raise BInBaseField("b must lie outside F_q")
 
 
-def _checked_bc(tower, b, c):
-    """Encodings of b and c, validated b first."""
-    b, c = _enc(b), _enc(c)
+def _check_bc(tower, b, c):
+    """Validate the encodings b and c, b first."""
     _check_b(tower, b)
     if not 0 <= c < tower.size:
         raise OutOfRange(f"c encoding {c} outside field of size {tower.size}")
     if c == 0:
         raise CZero("c must be nonzero")
-    return b, c
 
 
 def _size_budget(size_budget):
@@ -695,26 +561,33 @@ def _size_budget(size_budget):
 
 
 def _check_tower_params(p, m, n, budget):
-    if not isinstance(p, int) or _factor_int(p) != [p]:
+    """Cheap checks first: the size is bounded before p is factored, and
+    p^(m*n) is only computed once m*n is below the budget's bit length,
+    which p >= 2 makes a bound."""
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1 or n < 1:
         raise DegreeZero("extension degrees must be at least 1")
-    if p ** (m * n) > budget:
+    if m * n >= budget.bit_length() or p ** (m * n) > budget:
         raise SizeBudgetExceeded(
             f"{p}^{m * n} exceeds the size budget {budget}")
+    if _factor_int(p) != [p]:
+        raise NotPrime(f"characteristic {p} is not prime")
 
 
 class FieldTower:
     """Container for the three levels plus the tables keyed to the top one.
 
-    Public attributes: p, m, n, q, size, base, mid, top, field_spec,
-    frob_table, trace_table.  Do not construct directly: make_tower
-    checks the parameters and spells out both moduli and the budget, and
-    the constructor only builds, taking the middle field from the cache
-    shared by every tower over it.  A tower pickles (and copies) as its
-    make_tower key, p, m, n, g, h and the size budget, so it crosses to a
-    worker process in a few dozen bytes and unpickles to that process's
-    cached instance.
+    Public attributes: p, m, n, q, size, size_budget, base, mid, top,
+    field_spec, frob_table, trace_table; ops(level) and elements(level)
+    give a level's arithmetic and its encodings, and the *_enc methods
+    the Frobenius, trace, norm and subfield maps on top encodings.  Do
+    not construct directly: make_tower checks the parameters and spells
+    out both moduli and the budget, and the constructor only builds,
+    taking the middle field from the cache shared by every tower over
+    it.  A tower pickles (and copies) as its make_tower key, p, m, n, g,
+    h and the size budget, so it crosses to a worker process in a few
+    dozen bytes and unpickles to that process's cached instance.
     """
 
     def __init__(self, p, m, n, g, h, size_budget):
@@ -775,23 +648,7 @@ class FieldTower:
         except KeyError:
             raise LevelMismatch(f"unknown level {level!r}") from None
 
-    def element(self, level, enc):
-        return Element(self, level, enc)
-
-    def zero(self, level="top"):
-        return Element(self, level, 0)
-
-    def one(self, level="top"):
-        return Element(self, level, 1)
-
-    def gen(self, level="top"):
-        """The distinguished root: v at the top level, u at the middle."""
-        ops = self.ops(level)
-        if isinstance(ops, _PrimeField) or ops.degree == 1:
-            raise LevelMismatch(f"level {level!r} adjoins no root")
-        return Element(self, level, ops.ground.size)
-
-    # Encoding-level helpers for hot loops.
+    # Maps on top encodings.
 
     def frob_enc(self, a, i=1):
         if not 0 <= i < self.n:
@@ -909,15 +766,18 @@ make_tower.cache_clear = _clear_caches
 def dual_basis(tower, basis):
     """Dual of a basis of the top field over the middle one.
 
-    basis is a sequence of n top-level elements (or encodings) b_i; the
-    result is the tuple of elements d_k with Tr(b_i * d_k) = [i == k].
+    basis is a sequence of n top-level encodings b_i; the result is the
+    tuple of encodings d_k with Tr(b_i * d_k) = [i == k].
     Raises NotABasis when the Gram matrix of the trace form is singular,
     which happens exactly when the inputs fail to be a basis.
     """
     n = tower.n
-    encs = [_enc(b) for b in basis]
+    encs = list(basis)
     if len(encs) != n:
         raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
+    if not all(0 <= e < tower.size for e in encs):
+        raise OutOfRange(f"basis {encs} has an encoding outside the field "
+                         f"of size {tower.size}")
     gram = [[tower.trace_enc(tower.top.mul(bi, bj)) for bj in encs]
             for bi in encs]
     inv = _linalg.inv_matrix(tower.mid, gram)
@@ -928,7 +788,7 @@ def dual_basis(tower, basis):
         acc = 0
         for j in range(n):
             acc = tower.top.add(acc, tower.top.mul(inv[k][j], encs[j]))
-        out.append(Element(tower, "top", acc))
+        out.append(acc)
     return tuple(out)
 
 
@@ -941,11 +801,10 @@ def basis_det_b(tower, b):
     """
     if tower.n != 3:
         raise UnsupportedDegree("the spanning triple is specific to degree 3")
-    enc = _enc(b)
-    _check_b(tower, enc)
+    _check_b(tower, b)
     top = tower.top
-    bq = tower.frob_enc(enc)
-    r0 = [1, top.add(bq, enc), top.mul(bq, enc)]
+    bq = tower.frob_enc(b)
+    r0 = [1, top.add(bq, b), top.mul(bq, b)]
     r1 = [tower.frob_enc(x) for x in r0]
     r2 = [tower.frob_enc(x) for x in r1]
     det = 0
@@ -954,4 +813,4 @@ def basis_det_b(tower, b):
         k, l = (j + 1) % 3, (j + 2) % 3
         minor = top.sub(top.mul(r1[k], r2[l]), top.mul(r1[l], r2[k]))
         det = top.add(det, top.mul(r0[j], minor))
-    return Element(tower, "top", det)
+    return det

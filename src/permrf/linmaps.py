@@ -18,7 +18,7 @@ from functools import partial
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
-from .gf_core import Element, FieldTower, _enc, _power, _render_terms, dual_basis
+from .gf_core import FieldTower, _power, _render_terms, dual_basis
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class LinearizedPoly:
 
     @classmethod
     def scaling(cls, tower, a):
-        return cls(tower, (_enc(a),))
+        return cls(tower, (a,))
 
     @classmethod
     def frobenius_power(cls, tower, i):
@@ -70,10 +70,6 @@ class LinearizedPoly:
         return acc
 
     def __call__(self, x):
-        if isinstance(x, Element):
-            if x.level != "top":
-                raise OutOfRange("linearized polynomials act on the top level")
-            return Element(self.tower, "top", self.eval_enc(x.enc))
         if not 0 <= x < self.tower.size:
             raise OutOfRange(f"encoding {x} is not a top encoding")
         return self.eval_enc(x)
@@ -106,7 +102,7 @@ def from_matrix(tower, matrix):
             or not all(0 <= e < q for row in matrix for e in row)):
         raise OutOfRange(f"matrix is not {n} x {n} with entries in 0..{q - 1}")
     top = tower.top
-    duals = [d.enc for d in dual_basis(tower, [q ** j for j in range(n)])]
+    duals = dual_basis(tower, [q ** j for j in range(n)])
     coeffs = [0] * n
     for j, d in enumerate(duals):
         w = top.undigits([matrix[i][j] for i in range(n)])
@@ -187,16 +183,13 @@ def _adjoint(L):
 def trace_decompose(L):
     """Write L(x) as sum alpha_i Tr(beta_i x) with independent alpha_i.
 
-    Returns rank-many (alpha_i, beta_i) pairs of top elements.  The alpha_i
+    Returns rank-many (alpha_i, beta_i) pairs of top encodings.  The alpha_i
     are the image basis; with (d_i) the dual of its completion to a basis,
     the coordinate along alpha_i is Tr(d_i L(x)) = Tr(L*(d_i) x), so
     beta_i = L*(d_i).
     """
     tower = L.tower
-    rank_, _, image = rank_kernel_image(L)
-    if rank_ == 0:
-        return []
+    _, _, image = rank_kernel_image(L)
     duals = dual_basis(tower, complete_basis(tower, image))
     adj = _adjoint(L)
-    return [(Element(tower, "top", image[i]), adj(duals[i]))
-            for i in range(rank_)]
+    return [(alpha, adj.eval_enc(d)) for alpha, d in zip(image, duals)]

@@ -61,7 +61,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import FieldTower, _check_b, _checked_bc, _enc
+from .gf_core import FieldTower, _check_b, _check_bc
 from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
 
 
@@ -75,9 +75,7 @@ class RatFuncSpec:
     L: Optional[LinearizedPoly] = None
 
     def __post_init__(self):
-        b, c = _checked_bc(self.tower, self.b, self.c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _check_bc(self.tower, self.b, self.c)
         if self.L is None:
             object.__setattr__(self, "L", LinearizedPoly.identity(self.tower))
         elif self.L.tower is not self.tower:
@@ -143,7 +141,7 @@ def reduced_map_eval(tower, b, c, t0):
 
 
 def is_permutation_reduced(tower, b, c):
-    b, c = _checked_bc(tower, b, c)
+    _check_bc(tower, b, c)
     seen = bytearray(tower.q)
     for t0 in range(tower.q):
         y = reduced_map_eval(tower, b, c, t0)
@@ -184,14 +182,16 @@ def _first_pair(tower, b, c, target):
 def pairwise_criterion(tower, b, c):
     """ok is False on the first pair x0 < y0 with Tr(c/((x0+b)(y0+b))) = 1,
     reported as the witness."""
-    pair = _first_pair(tower, *_checked_bc(tower, b, c), 1)
+    _check_bc(tower, b, c)
+    pair = _first_pair(tower, b, c, 1)
     return Criterion(pair is None, pair)
 
 
 def kernel_criterion(tower, b, c):
     """exists is True on the first pair x0 < y0 with
     Tr(c/((x0+b)(y0+b))) = 0, reported as the witness."""
-    pair = _first_pair(tower, *_checked_bc(tower, b, c), 0)
+    _check_bc(tower, b, c)
+    pair = _first_pair(tower, b, c, 0)
     return KernelCriterion(pair is not None, pair)
 
 
@@ -247,7 +247,6 @@ def classify_c(tower, b):
     under a millisecond on small towers, so there is no workers argument;
     `permrf classify --all-b` fans out over b instead.
     """
-    b = _enc(b)
     _check_b(tower, b)
     q = tower.q
     bound = q * (q - 1) // 2 * (tower.size - 1)
@@ -264,7 +263,6 @@ def closed_form_c(tower, b, d=None):
     Degree 2: (b^q - b)^(q+1).  Degree 3: -(b^q - b)^(q^2 + 1).  Other
     degrees have no closed form here.
     """
-    b = _enc(b)
     _check_b(tower, b)
     if d is None:
         d = tower.n
@@ -329,7 +327,7 @@ def remark3_check(tower, b, c):
         raise UnsupportedDegree("the scan is specific to degree 3")
     if tower.p == 2:
         raise EvenCharacteristic("the scan needs odd characteristic")
-    b, c = _checked_bc(tower, b, c)
+    _check_bc(tower, b, c)
     top = tower.top
     trace = tower.trace_table
     bsq = top.mul(b, b)

@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
-from .errors import EvenCharacteristic, NotPrime, UsageError
+from .errors import EvenCharacteristic, NotPrime, SizeBudgetExceeded, UsageError
 from .gf_core import _factor_int, _size_budget, basis_det_b, make_tower
 from .linmaps import LinearizedPoly
 from .ratfunc import (
@@ -156,9 +156,10 @@ class Suite:
         return _run([(self, qs, mode)], seed, workers, size_budget, samples)
 
 
-def _fields(suite, qs, mode):
+def _fields(suite, qs, mode, budget):
     """One (q, p, m) per q once qs and mode are valid, or
-    (None, None, None) alone when the suite picks its own fields."""
+    (None, None, None) alone when the suite picks its own fields.  A q
+    over the budget is refused before it is factored."""
     if mode is not None and mode not in suite.modes:
         if not suite.modes:
             raise UsageError(f"{suite.name} takes no mode")
@@ -171,6 +172,10 @@ def _fields(suite, qs, mode):
     qs = suite.default_qs if qs is None else tuple(qs)
     if not qs:
         raise UsageError(f"suite {suite.name} needs at least one q")
+    for q in qs:
+        if isinstance(q, int) and q > budget:
+            raise SizeBudgetExceeded(
+                f"q = {q} exceeds the size budget {budget}")
     return [(q, *split_prime_power(q)) for q in qs]
 
 
@@ -180,7 +185,7 @@ def _run(entries, seed, workers, size_budget, samples):
     if samples < 0:
         raise UsageError(f"samples must be at least 0, not {samples}")
     budget = _size_budget(size_budget)
-    checked = [(suite, _fields(suite, qs, mode), mode)
+    checked = [(suite, _fields(suite, qs, mode, budget), mode)
                for suite, qs, mode in entries]
     reports = []
     jobs = []
@@ -382,7 +387,7 @@ def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
 def _case_lemma_basis(tower, b):
     top = tower.top
     q = tower.q
-    det = basis_det_b(tower, b).enc
+    det = basis_det_b(tower, b)
     rhs = top.mul(tower.norm_enc(b),
                   tower.trace_enc(top.sub(top.pow(b, q - 1),
                                           top.pow(b, q * q - 1))))

@@ -216,8 +216,7 @@ def _check_tower_algebra(tower, rng):
     for x in sample:
         acc = 0
         for bk, dk in zip(basis, dual):
-            acc = top.add(acc, top.mul(dk.enc,
-                                       tower.trace_enc(top.mul(bk, x))))
+            acc = top.add(acc, top.mul(dk, tower.trace_enc(top.mul(bk, x))))
         assert acc == x
 
     for _ in range(5):

@@ -139,6 +139,13 @@ def test_classify_needs_b(capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
+def test_classify_refuses_b_with_all_b(capsys):
+    code, out, err = run_cli(capsys, "classify", "--field", "3:2",
+                             "--b", "3", "--all-b")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_factor_command(capsys):
     code, out, _ = run_cli(capsys, "factor", "--field", "3:2",
                            "--b", "3", "--c", "1")
@@ -407,3 +414,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "--field", "2305843009213693951:2"),
+    ("verify", "--suite", "lemma-basis", "--q", "2305843009213693951"),
+    ("field", "--field", "2:100000000000"),
+])
+def test_budget_refuses_before_factoring_or_sizing(argv):
+    """A prime near 2^61 or a degree of 10^11 is refused by the budget
+    at once; factoring p or computing p^(m*n) first would stall."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "permrf", *argv, "--workers", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "SizeBudgetExceeded"

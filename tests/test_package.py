@@ -7,10 +7,11 @@ import permrf
 from permrf import errors
 
 # Each was a second route to something the package keeps: the tower's
-# frob_enc, trace_rel_enc, trace_enc, norm_enc and in_subfield_enc, and
-# 1 / a on an Element; or the degree 2 twist, which no report checked.
+# frob_enc, trace_rel_enc, trace_enc, norm_enc, in_subfield_enc and
+# top.inv, and the Element wrapper around the integer encodings every
+# function takes; or the degree 2 twist, which no report checked.
 DROPPED = ("frobenius", "trace_rel", "trace", "norm", "invert",
-           "is_in_subfield", "TwistedForm", "remark2_transform",
+           "is_in_subfield", "Element", "TwistedForm", "remark2_transform",
            "eval_twisted", "is_permutation_twisted")
 
 

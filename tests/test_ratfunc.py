@@ -416,12 +416,10 @@ def test_pair_memo_isolated_across_towers_and_b():
                 if b < t.q:
                     continue
                 for c in range(1, t.size):
-                    as_element = calls % 2 == 1
-                    bb = t.element("top", b) if as_element else b
                     ref = reference_first_pair(t, b, c, 1)
-                    assert pairwise_criterion(t, bb, c) == (ref is None, ref)
+                    assert pairwise_criterion(t, b, c) == (ref is None, ref)
                     ref = reference_first_pair(t, b, c, 0)
-                    assert kernel_criterion(t, bb, c) == \
+                    assert kernel_criterion(t, b, c) == \
                         (ref is not None, ref)
                     calls += 1
     assert calls > 0

@@ -22,7 +22,7 @@ from permrf import (
     run_suite,
 )
 from permrf.errors import EvenCharacteristic, NotPrime, UsageError
-from permrf.gf_core import DEFAULT_SIZE_BUDGET, Element
+from permrf.gf_core import DEFAULT_SIZE_BUDGET
 from permrf.verify import (
     BATTERY,
     CSV_COLUMNS,
@@ -270,7 +270,7 @@ BREAKS = {
     "direct": ("is_permutation_direct", lambda spec: True),
     "reduced": ("is_permutation_reduced", _negated_reduced),
     "lifted": ("lifted_c_set", lambda tower, b, d: [1, 2, 3, 4, 5]),
-    "det": ("basis_det_b", lambda tower, b: Element(tower, "top", 1)),
+    "det": ("basis_det_b", lambda tower, b: 1),
 }
 
 FAILURE_PINS = [
