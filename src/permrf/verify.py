@@ -39,7 +39,7 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._pool import map_ordered
@@ -91,7 +91,8 @@ class SuiteReport:
     elapsed: float
 
     def to_dict(self, include_elapsed=False):
-        d = asdict(self)
+        """The fields by name; the exceptions list is shared, not copied."""
+        d = dict(vars(self))
         if not include_elapsed:
             del d["elapsed"]
         return d
@@ -122,6 +123,18 @@ def _verdicts(tower, b, c):
     return (is_permutation_direct(RatFuncSpec(tower, b, c)),
             is_permutation_reduced(tower, b, c),
             pairwise_criterion(tower, b, c).ok)
+
+
+def _degrees_in_budget(suite, q, degrees, power, budget):
+    """The degrees n, ascending, whose cost q^(n*power) is within the
+    budget; SizeBudgetExceeded, naming q and the bound, when none is."""
+    fitting = [n for n in degrees if q ** (n * power) <= budget]
+    if not fitting:
+        e = degrees[0] * power
+        raise SizeBudgetExceeded(
+            f"{suite} at q = {q}: its smallest tower costs q^{e} = "
+            f"{q ** e}, over the size budget {budget}")
+    return fitting
 
 
 def _jobs_per_b(case, tower, *args):
@@ -435,9 +448,7 @@ def _case_factorizations(tower, b):
 
 
 def _plan_factorizations(q, p, m, mode, seed, budget, samples):
-    for n in (2, 3):
-        if (q ** n) ** 3 > budget:
-            continue
+    for n in _degrees_in_budget("factorizations", q, (2, 3), 3, budget):
         tower = make_tower(p, m, n, size_budget=budget)
         yield (tower.field_spec, n, None, True,
                _jobs_per_b(_case_factorizations, tower))
@@ -472,9 +483,7 @@ def _case_corollary(tower, d, b):
 
 
 def _plan_corollary(q, p, m, mode, seed, budget, samples):
-    for n in (4, 6):
-        if q ** n > budget:
-            continue
+    for n in _degrees_in_budget("corollary", q, (4, 6), 1, budget):
         tower = make_tower(p, m, n, size_budget=budget)
         jobs = [(_case_corollary, (tower, d, b))
                 for d in (2, 3) if n % d == 0

@@ -429,3 +429,20 @@ def test_budget_refuses_before_factoring_or_sizing(argv):
         capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "SizeBudgetExceeded"
+
+
+@pytest.mark.parametrize("suite, q, bound", [
+    ("corollary", "4099", "q^4"),
+    ("factorizations", "257", "q^6"),
+])
+def test_verify_refuses_q_whose_towers_are_all_over_budget(suite, q, bound):
+    """q itself is within the budget but every tower the suite would build
+    over it is not: the run is refused, not reported empty."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "permrf", "verify", "--suite", suite,
+         "--q", q, "--workers", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SizeBudgetExceeded"
+    assert f"q = {q}" in err["detail"] and bound in err["detail"]

@@ -398,6 +398,7 @@ def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
         raise AssertionError("classification used the pair scan")
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
     assert [classify_c(t, b) for t, b in cases] == classified
     assert verify.reports_to_json(
         verify.run_suite("proposition", [4, 5, 11])) == reports
@@ -425,6 +426,64 @@ def test_pair_memo_isolated_across_towers_and_b():
     assert calls > 0
 
 
+def test_pair_scan_checks_b_before_c_on_miss_and_hit():
+    t = make_tower(3, 1, 2)
+    for criterion in (pairwise_criterion, kernel_criterion):
+        for bad_b, error in ((0, BZero), (1, BInBaseField), (9, OutOfRange)):
+            ratfunc._pair_scan.cache_clear()
+            with pytest.raises(error):
+                criterion(t, bad_b, 0)
+            criterion(t, 3, 1)
+            criterion(t, 3, 1)
+            assert ratfunc._pair_scan.cache_info().hits == 1
+            with pytest.raises(error):
+                criterion(t, bad_b, 0)
+            with pytest.raises(error):
+                criterion(t, bad_b, 9)
+
+
+def test_pair_scan_checks_c_on_hit():
+    t = make_tower(3, 1, 2)
+    for criterion in (pairwise_criterion, kernel_criterion):
+        criterion(t, 3, 1)
+        hits = ratfunc._pair_scan.cache_info().hits
+        for bad_c, error in ((0, CZero), (-1, OutOfRange), (9, OutOfRange)):
+            with pytest.raises(error):
+                criterion(t, 3, bad_c)
+        assert ratfunc._pair_scan.cache_info().hits == hits + 3
+
+
+def test_pair_scan_builds_rows_only_up_to_the_witness():
+    t = make_tower(7, 1, 2)
+    b = 7
+    ilog = ratfunc._inverse_logs(t, b)
+    by_row = {}
+    for c in range(1, t.size):
+        pair = reference_first_pair(t, b, c, 1)
+        if pair is not None:
+            by_row.setdefault(pair[0], c)
+    assert 0 in by_row and max(by_row) >= 2
+    ratfunc._pair_scan.cache_clear()
+    for x0 in sorted(by_row):
+        assert pairwise_criterion(t, b, by_row[x0]).witness[0] == x0
+        rows = ratfunc._pair_scan(t, b)[-1]
+        assert rows[:x0 + 1] == [(ilog[i], ilog[i + 1:])
+                                 for i in range(x0 + 1)]
+        assert rows[x0 + 1:] == [None] * (t.q - 2 - x0)
+
+
+def test_pair_scan_interleaved_calls_match_reference():
+    # In a seeded random order most calls switch (tower, b) and rebuild the
+    # memo; the rest reuse one whose rows earlier calls built only in part.
+    towers = (make_tower(5, 1, 2), make_tower(2, 2, 2), make_tower(3, 1, 3))
+    calls = [(t, b, c, target) for t in towers for b in (t.q, t.q + 1)
+             for c in range(1, t.size) for target in (0, 1)]
+    random.Random("ratfunc-interleave").shuffle(calls)
+    for t, b, c, target in calls:
+        assert ratfunc._first_pair(t, b, c, target) == \
+            reference_first_pair(t, b, c, target)
+
+
 def test_classify_custom_moduli_builds_no_second_tower():
     for params, g in (((3, 1, 2), (1, 1)), ((3, 2, 2), (2, 1, 1))):
         t = make_tower(*params, g=g)
@@ -442,6 +501,7 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
         raise AssertionError("independent check used the pair scan")
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
     monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
     t = make_tower(3, 1, 2)
     assert is_permutation_direct(RatFuncSpec(t, 3, 1))
@@ -475,6 +535,7 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
         raise AssertionError("direct evaluation used the pair scan")
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
+    monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
     monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
     rng = random.Random("ratfunc-direct-scan")
     for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2)):
