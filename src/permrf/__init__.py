@@ -30,7 +30,6 @@ from .gf_core import (
 from .linmaps import (
     LinearizedPoly,
     compose,
-    from_matrix,
     invert_lin,
     matrix_of,
     rank_kernel_image,
@@ -86,7 +85,6 @@ __all__ = [
     "dual_basis",
     "eval_poly",
     "eval_rf",
-    "from_matrix",
     "invert_lin",
     "is_permutation",
     "is_permutation_direct",

@@ -35,7 +35,7 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
 from .gf_core import FieldTower, _check_bc, _power, _render_terms
@@ -82,19 +82,12 @@ class BivarPoly:
         return all(self.grid[i][j] == self.grid[j][i]
                    for i in range(dx + 1) for j in range(dy + 1))
 
-    def is_fq_stable(self):
-        return apply_sigma(self, 1) == self
-
     def pretty(self):
         return _render_terms(
             ((a, "*".join(filter(None, (_power("X", i), _power("Y", j)))))
              for i, row in reversed(list(enumerate(self.grid)))
              for j, a in reversed(list(enumerate(row)))),
-            partial(self.tower.pretty_enc, "top"))
-
-
-def constant(tower, a):
-    return BivarPoly(tower, ((a,),))
+            self.tower.pretty_enc)
 
 
 def bilinear(tower, xy, x, y, const):

@@ -77,7 +77,7 @@ def _with_pretty(tower, payload, keys):
     for key in keys:
         enc = payload.get(key)
         if isinstance(enc, int):
-            payload[key + "_pretty"] = tower.pretty_enc("top", enc)
+            payload[key + "_pretty"] = tower.pretty_enc(enc)
     return payload
 
 

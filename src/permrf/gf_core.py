@@ -61,7 +61,6 @@ from .errors import (
     DegreeZero,
     DivisionByZero,
     InvalidModulus,
-    LevelMismatch,
     NonDivisorDegrees,
     NotABasis,
     NotInSubfield,
@@ -536,8 +535,14 @@ def _render_terms(terms, render):
     return " + ".join(out) or "0"
 
 
+def _poly_text(ops, var, enc, render=str):
+    """enc, an encoding of level ops, as a polynomial in var."""
+    return _render_terms(((c, _power(var, i)) for i, c in
+                          reversed(list(enumerate(ops.digits(enc))))), render)
+
+
 def _check_b(tower, b):
-    if not 0 <= b < tower.size:
+    if not isinstance(b, int) or not 0 <= b < tower.size:
         raise OutOfRange(f"b encoding {b} outside field of size {tower.size}")
     if b == 0:
         raise BZero("b must be nonzero")
@@ -548,7 +553,7 @@ def _check_b(tower, b):
 def _check_bc(tower, b, c):
     """Validate the encodings b and c, b first."""
     _check_b(tower, b)
-    if not 0 <= c < tower.size:
+    if not isinstance(c, int) or not 0 <= c < tower.size:
         raise OutOfRange(f"c encoding {c} outside field of size {tower.size}")
     if c == 0:
         raise CZero("c must be nonzero")
@@ -579,10 +584,10 @@ class FieldTower:
     """Container for the three levels plus the tables keyed to the top one.
 
     Public attributes: p, m, n, q, size, size_budget, base, mid, top,
-    field_spec, frob_table, trace_table; ops(level) and elements(level)
-    give a level's arithmetic and its encodings, and the *_enc methods
-    the Frobenius, trace, norm and subfield maps on top encodings.  Do
-    not construct directly: make_tower checks the parameters and spells
+    field_spec, frob_table, trace_table; base, mid and top are the levels'
+    arithmetic, and range(level.size) its encodings.  The *_enc methods
+    map top encodings: Frobenius, trace, norm, subfield test, and text.
+    Do not construct directly: make_tower checks the parameters and spells
     out both moduli and the budget, and the constructor only builds,
     taking the middle field from the cache shared by every tower over
     it.  A tower pickles (and copies) as its make_tower key, p, m, n, g,
@@ -600,7 +605,6 @@ class FieldTower:
         self.mid = _mid_field(p, g)
         self.base = self.mid.ground
         self.top = _ExtField(self.mid, h)
-        self._levels = {"base": self.base, "mid": self.mid, "top": self.top}
         self._norm_exp = (self.size - 1) // (self.q - 1)
         self._build_frobenius()
         self._build_trace()
@@ -642,12 +646,6 @@ class FieldTower:
     def field_spec(self):
         return f"{self.p}^{self.m}:{self.n}"
 
-    def ops(self, level):
-        try:
-            return self._levels[level]
-        except KeyError:
-            raise LevelMismatch(f"unknown level {level!r}") from None
-
     # Maps on top encodings.
 
     def frob_enc(self, a, i=1):
@@ -685,22 +683,13 @@ class FieldTower:
             acc = self.top.add(acc, self.frob_enc(a, i))
         return acc
 
-    def elements(self, level="top"):
-        return range(self.ops(level).size)
-
     # Rendering.
 
-    def pretty_enc(self, level, enc):
-        ops = self.ops(level)
-        if isinstance(ops, _PrimeField):
-            return str(enc)
-        var = "v" if level == "top" else "u"
-        # With m = 1 a middle-field coefficient is its prime-field digit.
-        render = (partial(self.pretty_enc, "mid")
-                  if level == "top" and self.m > 1 else str)
-        return _render_terms(((c, _power(var, i)) for i, c in
-                              reversed(list(enumerate(ops.digits(enc))))),
-                             render)
+    def pretty_enc(self, enc):
+        """A top encoding as a polynomial in v, with middle-field
+        coefficients in u; with m = 1 a coefficient is its prime digit."""
+        mid = str if self.m == 1 else partial(_poly_text, self.mid, "u")
+        return _poly_text(self.top, "v", enc, mid)
 
     def __repr__(self):
         return f"FieldTower({self.field_spec})"

@@ -3,10 +3,11 @@
 A map is stored as the coefficient tuple (a_0, ..., a_(n-1)) of
 a_0 x + a_1 x^q + ... + a_(n-1) x^(q^(n-1)), each a_i a top-level
 encoding.  Exponents fold modulo n on construction because x^(q^n) = x
-on the top field, so composition works on the coefficients directly.  The
-matrix view (n x n over F_q, acting on power-basis coordinates) serves
-rank, kernel, image and inversion only; the dual of the power basis turns
-a matrix back into coefficients.
+on the top field, so composition and inversion work on the coefficients
+directly; inversion solves one linear system over the top field whose
+matrix is the Dickson (q-circulant) matrix of the map.  The matrix view
+(n x n over F_q, acting on power-basis coordinates) serves rank, kernel
+and image, and the Frobenius matrix that `permrf field` prints.
 
 The trace form is nondegenerate, so every map L has one adjoint L* with
 Tr(y * L(x)) = Tr(L*(y) * x).  Tr is invariant under x -> x^q, so L* has
@@ -14,7 +15,6 @@ a_i^(q^k) at x^(q^k) for k = -i mod n, and trace duals need no solve.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
@@ -37,22 +37,8 @@ class LinearizedPoly:
         object.__setattr__(self, "coeffs", tuple(folded))
 
     @classmethod
-    def zero(cls, tower):
-        return cls(tower, (0,))
-
-    @classmethod
     def identity(cls, tower):
         return cls(tower, (1,))
-
-    @classmethod
-    def scaling(cls, tower, a):
-        return cls(tower, (a,))
-
-    @classmethod
-    def frobenius_power(cls, tower, i):
-        if not 0 <= i < tower.n:
-            raise OutOfRange(f"Frobenius power {i} outside 0..{tower.n - 1}")
-        return cls(tower, tuple(0 if j != i else 1 for j in range(i + 1)))
 
     @property
     def is_identity(self):
@@ -69,17 +55,12 @@ class LinearizedPoly:
             t = frob[t]
         return acc
 
-    def __call__(self, x):
-        if not 0 <= x < self.tower.size:
-            raise OutOfRange(f"encoding {x} is not a top encoding")
-        return self.eval_enc(x)
-
     def pretty(self):
         q = self.tower.q
         return _render_terms(
             ((a, _power("x", q ** i))
              for i, a in reversed(list(enumerate(self.coeffs)))),
-            partial(self.tower.pretty_enc, "top"))
+            self.tower.pretty_enc)
 
 
 def matrix_of(L):
@@ -88,28 +69,6 @@ def matrix_of(L):
     n, q = tower.n, tower.q
     cols = [tower.top.digits(L.eval_enc(q ** j), n) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def from_matrix(tower, matrix):
-    """The linearized polynomial acting as the given matrix on coordinates.
-
-    With w_j column j read back as an element and (d_j) the dual of the
-    power basis, x = sum_j Tr(d_j x) v^j, so L(x) = sum_j w_j Tr(d_j x)
-    and a_i = sum_j w_j d_j^(q^i).
-    """
-    n, q = tower.n, tower.q
-    if (len(matrix) != n or any(len(row) != n for row in matrix)
-            or not all(0 <= e < q for row in matrix for e in row)):
-        raise OutOfRange(f"matrix is not {n} x {n} with entries in 0..{q - 1}")
-    top = tower.top
-    duals = dual_basis(tower, [q ** j for j in range(n)])
-    coeffs = [0] * n
-    for j, d in enumerate(duals):
-        w = top.undigits([matrix[i][j] for i in range(n)])
-        for i in range(n):
-            coeffs[i] = top.add(coeffs[i], top.mul(w, d))
-            d = tower.frob_table[d]
-    return LinearizedPoly(tower, tuple(coeffs))
 
 
 def compose(outer, inner):
@@ -141,11 +100,22 @@ def rank_kernel_image(L):
 
 
 def invert_lin(L):
-    """The inverse map, or NotBijective when the matrix is singular."""
-    inv = _linalg.inv_matrix(L.tower.mid, matrix_of(L))
+    """The inverse map, or NotBijective when L is singular.
+
+    M o L has sum_j m_j a_(k-j)^(q^j) at x^(q^k), linear in the m_j, so
+    M o L = x is the row system m D = e_0 over the top field, with the
+    Dickson matrix D[j][k] = a_((k-j) mod n)^(q^j); D is singular exactly
+    when L is.  Row j + 1 is row j shifted right and raised to the q.
+    """
+    tower = L.tower
+    frob = tower.frob_table
+    rows = [list(L.coeffs)]
+    for _ in range(1, tower.n):
+        rows.append([frob[a] for a in rows[-1][-1:] + rows[-1][:-1]])
+    inv = _linalg.inv_matrix(tower.top, rows)
     if inv is None:
         raise NotBijective("linear map has a nontrivial kernel")
-    return from_matrix(L.tower, inv)
+    return LinearizedPoly(tower, tuple(inv[0]))
 
 
 def complete_basis(tower, vectors):

@@ -156,7 +156,7 @@ def is_permutation_reduced(tower, b, c):
     return True
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _inverse_logs(tower, b):
     """log(1/(x0 + b)) for x0 = 0 .. q-1; b is an encoding outside F_q.
 
@@ -169,7 +169,7 @@ def _inverse_logs(tower, b):
     return tuple(top._log[top.inv(top.add(x0, b))] for x0 in range(tower.q))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _pair_scan(tower, b):
     """The pair scan's state for one (tower, b), after b is checked:
     (size, log, exp, trace, order, ilog, rows).
@@ -191,9 +191,14 @@ def _first_pair(tower, b, c, target):
     Tr(c/((x0+b)(y0+b))) == target; None when there is none.  b is
     checked before c."""
     size, log, exp, trace, order, ilog, rows = _pair_scan(tower, b)
-    if not 0 < c < size:
+    try:
+        if not 0 < c < size:
+            _check_bc(tower, b, c)
+        lc = log[c]
+    except TypeError:
+        # A c such as 2.0 passes the range test; _check_bc refuses it.
         _check_bc(tower, b, c)
-    lc = log[c]
+        raise
     x0 = 0
     for row in rows:
         if row is None:

@@ -101,9 +101,9 @@ class SuiteReport:
 def _exc(tower, b, c, detail, extra=None):
     e = {
         "b": b,
-        "b_pretty": None if b is None else tower.pretty_enc("top", b),
+        "b_pretty": None if b is None else tower.pretty_enc(b),
         "c": c,
-        "c_pretty": None if c is None else tower.pretty_enc("top", c),
+        "c_pretty": None if c is None else tower.pretty_enc(c),
         "detail": detail,
     }
     if extra:

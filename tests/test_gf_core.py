@@ -139,7 +139,7 @@ def test_pth_powers_are_reducible():
 
 def test_f9_arithmetic_facts():
     t = make_tower(3, 1, 2)
-    top = t.ops("top")
+    top = t.top
     assert top.mul(3, 3) == 2
     assert top.inv(5) == 4
     assert top.inv(3) == 6
@@ -151,7 +151,7 @@ def test_f9_arithmetic_facts():
 
 def test_f4_arithmetic_facts():
     t = make_tower(2, 1, 2)
-    top = t.ops("top")
+    top = t.top
     assert top.mul(2, 2) == 3
     assert top.inv(2) == 3
 
@@ -170,18 +170,18 @@ def test_field_spec_and_sizes():
     t = make_tower(2, 2, 3)
     assert t.field_spec == "2^2:3"
     assert (t.p, t.m, t.n, t.q, t.size) == (2, 2, 3, 4, 64)
-    assert t.ops("base").size == 2
-    assert t.ops("mid").size == 4
-    assert t.ops("top").size == 64
+    assert t.base.size == 2
+    assert t.mid.size == 4
+    assert t.top.size == 64
 
 
 def test_frobenius_matrix_realizes_qth_power():
     for params in ((3, 1, 2), (2, 2, 3), (2, 1, 4), (3, 2, 2), (3, 2, 3)):
         t = make_tower(*params)
-        mid = t.ops("mid")
-        top = t.ops("top")
+        mid = t.mid
+        top = t.top
         matrix = matrix_of(LinearizedPoly(t, (0, 1)))
-        for x in t.elements("top"):
+        for x in range(t.size):
             digits = top.digits(x, t.n)
             image = [0] * t.n
             for j, d in enumerate(digits):
@@ -194,8 +194,7 @@ def test_frobenius_matrix_realizes_qth_power():
 @pytest.mark.parametrize("params", [(3, 2, 2), (5, 1, 2), (3, 1, 3)])
 def test_odd_char_add_sub_neg_exhaustive(params):
     t = make_tower(*params)
-    for level in ("mid", "top"):
-        ops = t.ops(level)
+    for ops in (t.mid, t.top):
         for a in range(ops.size):
             assert ops.neg(a) == digit_neg(t.p, a)
             for b in range(ops.size):
@@ -207,8 +206,7 @@ def test_odd_char_add_sub_neg_exhaustive(params):
 def test_odd_char_add_sub_neg_sampled(params):
     t = make_tower(*params)
     rng = random.Random(f"add:{params}")
-    for level in ("mid", "top"):
-        ops = t.ops(level)
+    for ops in (t.mid, t.top):
         for _ in range(5000):
             a, b = rng.randrange(ops.size), rng.randrange(ops.size)
             assert ops.add(a, b) == digit_add(t.p, a, b)
@@ -219,8 +217,8 @@ def test_odd_char_add_sub_neg_sampled(params):
 def test_trace_equals_conjugate_sum():
     for params in SMALL_TOWERS:
         t = make_tower(*params)
-        top = t.ops("top")
-        for x in t.elements("top"):
+        top = t.top
+        for x in range(t.size):
             acc = 0
             for i in range(t.n):
                 acc = top.add(acc, t.frob_enc(x, i))
@@ -359,8 +357,8 @@ def test_cold_build_transient_memory(params):
 def test_norm_equals_conjugate_product():
     for params in SMALL_TOWERS:
         t = make_tower(*params)
-        top = t.ops("top")
-        for x in t.elements("top"):
+        top = t.top
+        for x in range(t.size):
             acc = 1
             for i in range(t.n):
                 acc = top.mul(acc, t.frob_enc(x, i))
@@ -370,16 +368,16 @@ def test_norm_equals_conjugate_product():
 
 def test_subfield_membership_f16():
     t = make_tower(2, 1, 4)
-    quartic_fixed = [a for a in t.elements("top") if t.in_subfield_enc(a, 2)]
+    quartic_fixed = [a for a in range(t.size) if t.in_subfield_enc(a, 2)]
     assert quartic_fixed == [0, 1, 6, 7]
-    assert [a for a in t.elements("top") if t.in_subfield_enc(a, 1)] == [0, 1]
+    assert [a for a in range(t.size) if t.in_subfield_enc(a, 1)] == [0, 1]
 
 
 def test_relative_trace_f16():
     t = make_tower(2, 1, 4)
-    fiber = [a for a in t.elements("top") if t.trace_rel_enc(a, 4, 2) == 1]
+    fiber = [a for a in range(t.size) if t.trace_rel_enc(a, 4, 2) == 1]
     assert fiber == [2, 3, 4, 5]
-    for a in t.elements("top"):
+    for a in range(t.size):
         assert t.trace_rel_enc(a, 4, 1) == t.trace_enc(a)
     with pytest.raises(NonDivisorDegrees):
         t.trace_rel_enc(0, 4, 3)
@@ -389,7 +387,7 @@ def test_relative_trace_f16():
 
 def test_relative_trace_transitivity():
     t = make_tower(2, 1, 4)
-    for a in t.elements("top"):
+    for a in range(t.size):
         mid_val = t.trace_rel_enc(a, 4, 2)
         assert t.trace_rel_enc(mid_val, 2, 1) == t.trace_enc(a)
 
@@ -403,7 +401,7 @@ def test_relative_trace_is_sum_of_powers(p, m, n):
     for frm in range(1, n + 1):
         if n % frm:
             continue
-        sub = [a for a in t.elements("top") if t.in_subfield_enc(a, frm)]
+        sub = [a for a in range(t.size) if t.in_subfield_enc(a, frm)]
         for to in range(1, frm + 1):
             if frm % to:
                 continue
@@ -451,20 +449,22 @@ def test_constructor_validation():
 def test_custom_modulus_accepted():
     t = make_tower(3, 1, 2, h=(2, 2, 1))
     assert tuple(t.top.modulus) == (2, 2, 1)
-    top = t.ops("top")
+    top = t.top
     for x in range(1, 9):
         assert top.mul(x, top.inv(x)) == 1
 
 
 def test_pretty_rendering():
     t = make_tower(3, 1, 2)
-    assert t.pretty_enc("top", 0) == "0"
-    assert t.pretty_enc("top", 3) == "v"
-    assert t.pretty_enc("top", 7) == "2*v + 1"
+    assert t.pretty_enc(0) == "0"
+    assert t.pretty_enc(3) == "v"
+    assert t.pretty_enc(7) == "2*v + 1"
+    # Middle-field coefficients, top encodings below q among them, are
+    # polynomials in u.
     nested = make_tower(2, 2, 2)
-    assert nested.pretty_enc("mid", 3) == "u + 1"
-    assert nested.pretty_enc("top", 7) == "v + u + 1"
-    assert nested.pretty_enc("top", 12) == "(u + 1)*v"
+    assert nested.pretty_enc(3) == "u + 1"
+    assert nested.pretty_enc(7) == "v + u + 1"
+    assert nested.pretty_enc(12) == "(u + 1)*v"
 
 
 def test_free_functions_wrap_elements():
@@ -489,14 +489,14 @@ def test_dual_basis_f4():
 def test_dual_basis_properties():
     for params in ((3, 1, 2), (2, 1, 3), (2, 2, 2)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         powers = [top.pow(t.q, i) for i in range(t.n)]
         duals = dual_basis(t, powers)
         for i, di in enumerate(duals):
             for j, bj in enumerate(powers):
                 want = 1 if i == j else 0
                 assert t.trace_enc(top.mul(di, bj)) == want
-        for x in t.elements("top"):
+        for x in range(t.size):
             acc = 0
             for di, bj in zip(duals, powers):
                 coeff = t.trace_enc(top.mul(di, x))
@@ -526,7 +526,7 @@ def test_basis_det_f8():
 def test_basis_det_matches_closed_form():
     for params in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         q = t.q
         for b in range(t.q, t.size):
             det = basis_det_b(t, b)
@@ -541,7 +541,7 @@ def test_basis_det_intermediate_identity():
     # det == Tr((b^(q^2) + b^q) b^(q^2+1) - b^(q^2+q) (b^(q^2) + b))
     for params in ((2, 1, 3), (3, 1, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         for b in range(t.q, t.size):
             bq = t.frob_enc(b)
             bq2 = t.frob_enc(b, 2)
@@ -577,7 +577,7 @@ def test_norm_identity_degree3():
     # N(b^q - b) == Tr(b^(q+2) - b^(q^2+2)) for b outside F_q
     for params in ((2, 1, 3), (3, 1, 3), (2, 2, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         q = t.q
         for b in range(t.q, t.size):
             w = top.sub(t.frob_enc(b), b)
@@ -589,7 +589,7 @@ def test_norm_identity_degree3():
 @given(tower_and_elements(count=3))
 def test_ring_axioms(data):
     t, x, y, z = data
-    top = t.ops("top")
+    top = t.top
     assert top.add(x, y) == top.add(y, x)
     assert top.mul(x, y) == top.mul(y, x)
     assert top.add(top.add(x, y), z) == top.add(x, top.add(y, z))
@@ -604,7 +604,7 @@ def test_ring_axioms(data):
 @given(tower_and_elements(count=2))
 def test_frobenius_is_field_automorphism(data):
     t, x, y = data
-    top = t.ops("top")
+    top = t.top
     assert t.frob_enc(top.add(x, y)) == top.add(t.frob_enc(x), t.frob_enc(y))
     assert t.frob_enc(top.mul(x, y)) == top.mul(t.frob_enc(x), t.frob_enc(y))
     assert t.frob_enc(t.frob_enc(x, t.n - 1)) == x
@@ -613,7 +613,7 @@ def test_frobenius_is_field_automorphism(data):
 @given(tower_and_elements(count=2))
 def test_trace_and_norm_laws(data):
     t, x, y = data
-    top = t.ops("top")
+    top = t.top
     assert t.trace_enc(top.add(x, y)) == top.add(t.trace_enc(x),
                                                  t.trace_enc(y))
     assert t.trace_enc(t.frob_enc(x)) == t.trace_enc(x)
@@ -624,7 +624,7 @@ def test_trace_and_norm_laws(data):
 @given(towers())
 def test_trace_is_balanced(t):
     counts = {}
-    for x in t.elements("top"):
+    for x in range(t.size):
         counts[t.trace_enc(x)] = counts.get(t.trace_enc(x), 0) + 1
     assert counts == {v: t.size // t.q for v in range(t.q)}
 

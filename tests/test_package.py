@@ -1,18 +1,38 @@
 """The package's public surface: every exported name resolves, the export
-list is sorted and unique, and names the package no longer offers stay
-gone.
+list is sorted and unique, names the package no longer offers stay gone,
+no module imports a name it never uses, and the README's library example
+runs.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import permrf
-from permrf import errors
+from permrf import bivariate, errors, linmaps
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Each was a second route to something the package keeps: the tower's
 # frob_enc, trace_rel_enc, trace_enc, norm_enc, in_subfield_enc and
 # top.inv, and the Element wrapper around the integer encodings every
-# function takes; or the degree 2 twist, which no report checked.
+# function takes; or the degree 2 twist, which no report checked; or
+# the matrix-to-coefficients route that invert_lin no longer takes.
 DROPPED = ("frobenius", "trace_rel", "trace", "norm", "invert",
            "is_in_subfield", "Element", "TwistedForm", "remark2_transform",
-           "eval_twisted", "is_permutation_twisted")
+           "eval_twisted", "is_permutation_twisted", "from_matrix")
+
+# Reached by nothing but tests: the LinearizedPoly and BivarPoly
+# constructors, eval_enc, apply_sigma(f, 1) == f, tower.top, tower.mid,
+# tower.base and range(tower.size) do each job.
+DROPPED_ATTRS = (
+    (linmaps, ("from_matrix",)),
+    (linmaps.LinearizedPoly, ("zero", "scaling", "frobenius_power",
+                              "__call__")),
+    (bivariate, ("constant",)),
+    (bivariate.BivarPoly, ("is_fq_stable",)),
+    (permrf.FieldTower, ("ops", "elements")),
+)
 
 
 def test_all_names_resolve_sorted_and_unique():
@@ -27,3 +47,46 @@ def test_dropped_names_stay_gone():
         assert not hasattr(permrf, name), name
         assert name not in permrf.__all__
     assert not hasattr(errors, "BadAlpha")
+    for owner, names in DROPPED_ATTRS:
+        for name in names:
+            assert name not in vars(owner), (owner, name)
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; __all__ counts as a read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "permrf").glob("*.py"))
+    assert paths
+    unused = {path.name: _unused_imports(path.read_text()) for path in paths}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_imports("from functools import partial, reduce\n"
+                           "reduce\n") == [(1, "partial")]
+    assert _unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -97,7 +97,7 @@ def test_kernel_criterion_polarity():
             assert res.exists
             x0, y0 = res.witness
             assert 0 <= x0 < y0 < t2.q
-            top = t2.ops("top")
+            top = t2.top
             w = top.mul(top.add(x0, b), top.add(y0, b))
             assert t2.trace_enc(top.mul(c, top.inv(w))) == 0
 
@@ -141,7 +141,7 @@ def test_closed_form_frozen():
 def test_closed_form_n2_is_norm_of_difference():
     for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         for b in range(t.q, t.size):
             w = top.sub(t.frob_enc(b), b)
             c = closed_form_c(t, b)
@@ -153,7 +153,7 @@ def test_closed_form_n3_power_identity():
     # c^(q+1) == N(w) * w with w = b^q - b
     for params in ((2, 1, 3), (3, 1, 3), (2, 2, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         for b in range(t.q, t.size):
             w = top.sub(t.frob_enc(b), b)
             c = closed_form_c(t, b)
@@ -164,7 +164,7 @@ def test_closed_form_n3_trace_identities():
     # Tr(1/c) == Tr(b/c) == 0 and Tr(b^2/c) == 1
     for params in ((2, 1, 3), (3, 1, 3), (2, 2, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         for b in range(t.q, t.size):
             ci = top.inv(closed_form_c(t, b))
             assert t.trace_enc(ci) == 0
@@ -215,7 +215,7 @@ def test_criteria_agree_exhaustively():
 def test_difference_identity():
     # g(x0) - g(y0) = (x0 - y0)(1 - Tr(c/((x0+b)(y0+b)))) on F_q
     t = make_tower(3, 1, 3)
-    top = t.ops("top")
+    top = t.top
     rng = random.Random("ratfunc-difference")
     for _ in range(20):
         b = rng.randrange(t.q, t.size)
@@ -252,7 +252,7 @@ def test_router_kernel_term():
     # L = x^q - x has rank n - 1; permutation iff the kernel generator
     # has nonzero trace and no zero-trace pair exists
     t = make_tower(3, 1, 2)
-    L = LinearizedPoly(t, (t.ops("top").neg(1), 1))
+    L = LinearizedPoly(t, (t.top.neg(1), 1))
     spec = RatFuncSpec(t, 3, 1, L)
     assert is_permutation(spec)
     assert is_permutation_direct(spec)
@@ -279,7 +279,7 @@ def test_normalize_spec_conjugation():
     rng = random.Random("ratfunc-normalize")
     for params in ((3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         checked = 0
         while checked < 10:
             coeffs = tuple(rng.randrange(t.size) for _ in range(t.n))
@@ -297,7 +297,7 @@ def test_normalize_spec_conjugation():
             assert std.b == b
             assert alpha != 0
             ainv = top.inv(alpha)
-            for z in t.elements("top"):
+            for z in range(t.size):
                 pre = Linv.eval_enc(top.mul(z, ainv))
                 assert eval_rf(std, z) == top.mul(alpha, eval_rf(spec, pre))
 
@@ -453,6 +453,27 @@ def test_pair_scan_checks_c_on_hit():
         assert ratfunc._pair_scan.cache_info().hits == hits + 3
 
 
+def test_float_b_or_c_is_refused_whatever_is_cached():
+    # 3.0 == 3 and hashes alike, so an untyped cache would answer for it
+    # once b = 3 is cached and fail on a float before.
+    t = make_tower(2, 1, 3)
+    calls = (lambda: pairwise_criterion(t, 3.0, 1),
+             lambda: kernel_criterion(t, 3.0, 1),
+             lambda: classify_c(t, 3.0),
+             lambda: pairwise_criterion(t, 3, 2.0),
+             lambda: kernel_criterion(t, 3, 2.0))
+    ratfunc._pair_scan.cache_clear()
+    ratfunc._inverse_logs.cache_clear()
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
+    pairwise_criterion(t, 3, 1)
+    classify_c(t, 3)
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
+
+
 def test_pair_scan_builds_rows_only_up_to_the_witness():
     t = make_tower(7, 1, 2)
     b = 7
@@ -513,7 +534,7 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
 def _seeded_map_of_rank(t, rank, rng):
     """L(x) = sum of rank terms alpha * Tr(beta * x), redrawn until its
     rank is exactly rank; rank 0 is the zero map."""
-    top = t.ops("top")
+    top = t.top
     while True:
         coeffs = [0] * t.n
         for _ in range(rank):
@@ -540,7 +561,7 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
     rng = random.Random("ratfunc-direct-scan")
     for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2)):
         t = make_tower(*params)
-        top = t.ops("top")
+        top = t.top
         b = rng.randrange(t.q, t.size)
         maps = [None, LinearizedPoly(t, (top.neg(1), 1))]
         maps += [_seeded_map_of_rank(t, r, rng) for r in range(t.n + 1)]

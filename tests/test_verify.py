@@ -165,7 +165,7 @@ def test_proposition_counts_and_verdicts():
     # n = 3 exceptions are real: no zero-trace pair, and the matching
     # kernel-term map actually permutes
     t = make_tower(2, 2, 3)
-    L = LinearizedPoly(t, (t.ops("top").neg(1), 1, 0))
+    L = LinearizedPoly(t, (t.top.neg(1), 1, 0))
     for e in n3.exceptions[:5]:
         assert not kernel_criterion(t, e["b"], e["c"]).exists
         assert is_permutation_direct(RatFuncSpec(t, e["b"], e["c"], L))
