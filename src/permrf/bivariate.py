@@ -196,11 +196,9 @@ def _quartic_product(tower, b):
 
 def build_f3(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); bidegree (3, 3)."""
-    if tower.n != 3:
-        raise UnsupportedDegree("this curve is specific to degree 3")
-    _check_bc(tower, b, c)
+    kern = build_f3_kernel(tower, b, c)
     return sub(norm_poly(_shifted_product(tower, b)),
-               build_f3_kernel(tower, b, c)).expect_bidegree(3, 3)
+               kern).expect_bidegree(3, 3)
 
 
 def build_f3_kernel(tower, b, c):

@@ -111,9 +111,6 @@ class _PrimeField:
     def sub(self, a, b):
         return (a - b) % self.size
 
-    def neg(self, a):
-        return (-a) % self.size
-
     def mul(self, a, b):
         return (a * b) % self.size
 
@@ -121,15 +118,6 @@ class _PrimeField:
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.size - 2, self.size)
-
-    def pow(self, a, e):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DivisionByZero("negative power of 0")
-            return 0
-        return pow(a, e % (self.size - 1), self.size)
 
 
 def _poly_trim(f):
@@ -541,9 +529,15 @@ def _poly_text(ops, var, enc, render=str):
                           reversed(list(enumerate(ops.digits(enc))))), render)
 
 
+def _check_enc(tower, a, name):
+    """Refuse an a that is not a top encoding: an int below tower.size."""
+    if not isinstance(a, int) or not 0 <= a < tower.size:
+        raise OutOfRange(
+            f"{name} encoding {a} outside field of size {tower.size}")
+
+
 def _check_b(tower, b):
-    if not isinstance(b, int) or not 0 <= b < tower.size:
-        raise OutOfRange(f"b encoding {b} outside field of size {tower.size}")
+    _check_enc(tower, b, "b")
     if b == 0:
         raise BZero("b must be nonzero")
     if b < tower.q:
@@ -553,8 +547,7 @@ def _check_b(tower, b):
 def _check_bc(tower, b, c):
     """Validate the encodings b and c, b first."""
     _check_b(tower, b)
-    if not isinstance(c, int) or not 0 <= c < tower.size:
-        raise OutOfRange(f"c encoding {c} outside field of size {tower.size}")
+    _check_enc(tower, c, "c")
     if c == 0:
         raise CZero("c must be nonzero")
 
@@ -646,9 +639,10 @@ class FieldTower:
     def field_spec(self):
         return f"{self.p}^{self.m}:{self.n}"
 
-    # Maps on top encodings.
+    # Maps on top encodings; each refuses an a outside the field.
 
     def frob_enc(self, a, i=1):
+        _check_enc(self, a, "element")
         if not 0 <= i < self.n:
             raise OutOfRange(f"Frobenius power {i} outside 0..{self.n - 1}")
         for _ in range(i):
@@ -656,14 +650,17 @@ class FieldTower:
         return a
 
     def trace_enc(self, a):
+        _check_enc(self, a, "element")
         return self.trace_table[a]
 
     def norm_enc(self, a):
+        _check_enc(self, a, "element")
         if a == 0:
             return 0
         return self.top.pow(a, self._norm_exp)
 
     def in_subfield_enc(self, a, d):
+        _check_enc(self, a, "element")
         if d < 1 or self.n % d != 0:
             raise NonDivisorDegrees(f"{d} does not divide {self.n}")
         t = a
@@ -688,6 +685,7 @@ class FieldTower:
     def pretty_enc(self, enc):
         """A top encoding as a polynomial in v, with middle-field
         coefficients in u; with m = 1 a coefficient is its prime digit."""
+        _check_enc(self, enc, "element")
         mid = str if self.m == 1 else partial(_poly_text, self.mid, "u")
         return _poly_text(self.top, "v", enc, mid)
 

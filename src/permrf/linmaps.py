@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
-from .gf_core import FieldTower, _power, _render_terms, dual_basis
+from .gf_core import FieldTower, dual_basis
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class LinearizedPoly:
                 acc = top.add(acc, top.mul(a, t))
             t = frob[t]
         return acc
-
-    def pretty(self):
-        q = self.tower.q
-        return _render_terms(
-            ((a, _power("x", q ** i))
-             for i, a in reversed(list(enumerate(self.coeffs)))),
-            self.tower.pretty_enc)
 
 
 def matrix_of(L):

@@ -42,7 +42,8 @@ c -> Tr(c*d) is F_q-linear.  In the log domain it is the level set
 {k : Tr(g^k) = target} rotated by log d, so the c with no such pair are
 the complement of a union of rotations: one shift and OR of a (q^n - 1)-bit
 int per pair, and none of the pair scan.  The two routes share only the
-memo of logarithms.  The direct and reduced tests do their own field
+per-(tower, b) memo's b check and logarithms; classify_c never reads or
+builds a row.  The direct and reduced tests do their own field
 arithmetic and touch neither, so they stay independent checks of both.
 
 Direct evaluation still visits every element in order, but c/(Tr(x) + b)
@@ -157,33 +158,26 @@ def is_permutation_reduced(tower, b, c):
 
 
 @lru_cache(maxsize=1, typed=True)
-def _inverse_logs(tower, b):
-    """log(1/(x0 + b)) for x0 = 0 .. q-1; b is an encoding outside F_q.
-
-    The entries are read off the log table rather than computed as
-    -log(x0 + b) mod (size - 1), so they are the table's own int objects:
-    fresh ints made for every b fragmented the allocator and raised peak
-    memory over long sweeps.
-    """
-    top = tower.top
-    return tuple(top._log[top.inv(top.add(x0, b))] for x0 in range(tower.q))
-
-
-@lru_cache(maxsize=1, typed=True)
 def _pair_scan(tower, b):
-    """The pair scan's state for one (tower, b), after b is checked:
+    """The pair state for one (tower, b), after b is checked:
     (size, log, exp, trace, order, ilog, rows).
 
-    ilog is _inverse_logs(tower, b).  rows[x0] stays None until a scan
-    first reaches row x0 and sets it to (ilog[x0], ilog[x0 + 1:]).  Rows
-    are addressed by x0, so interleaved scans neither skip nor repeat one;
-    together they hold at most q(q-1)/2 references.  A failed check
+    ilog[x0] = log(1/(x0 + b)) for x0 = 0 .. q-1, read off the log table
+    rather than computed as -log(x0 + b) mod (size - 1), so the entries
+    are the table's own int objects: fresh ints made for every b
+    fragmented the allocator and raised peak memory over long sweeps.
+    rows[x0] stays None until a scan first reaches row x0 and sets it to
+    (ilog[x0], ilog[x0 + 1:]).  Rows are addressed by x0, so interleaved
+    scans neither skip nor repeat one; together they hold at most
+    q(q-1)/2 references.  classify_c reads only ilog.  A failed check
     raises before anything is cached, so a hit implies a valid b.
     """
     _check_b(tower, b)
     top = tower.top
-    return (tower.size, top._log, top._exp, tower.trace_table,
-            tower.size - 1, _inverse_logs(tower, b), [None] * (tower.q - 1))
+    log = top._log
+    ilog = tuple(log[top.inv(top.add(x0, b))] for x0 in range(tower.q))
+    return (tower.size, log, top._exp, tower.trace_table,
+            tower.size - 1, ilog, [None] * (tower.q - 1))
 
 
 def _first_pair(tower, b, c, target):
@@ -252,7 +246,7 @@ def _pair_free_c(tower, b, target):
     """
     order = tower.size - 1
     period = order // (tower.q - 1) if target == 0 else order
-    ilog = _inverse_logs(tower, b)
+    *_, ilog, _ = _pair_scan(tower, b)
     shifts = {(lx + ly) % period
               for i, lx in enumerate(ilog) for ly in ilog[i + 1:]}
     level = _level_set(tower, target)
@@ -279,7 +273,7 @@ def classify_c(tower, b):
     under a millisecond on small towers, so there is no workers argument;
     `permrf classify --all-b` fans out over b instead.
     """
-    _check_b(tower, b)
+    _pair_scan(tower, b)  # checks b; _pair_free_c reads its logarithms
     q = tower.q
     bound = q * (q - 1) // 2 * (tower.size - 1)
     if bound > tower.size_budget:

@@ -34,6 +34,8 @@ from permrf.bivariate import (
     sub,
 )
 from permrf.errors import (
+    BZero,
+    CZero,
     DegreeTooSmall,
     SizeBudgetExceeded,
     UnsupportedDegree,
@@ -72,6 +74,13 @@ def test_build_rejects_wrong_degree():
         build_f2(make_tower(2, 1, 3), 2, 5)
     with pytest.raises(UnsupportedDegree):
         build_f3(make_tower(3, 1, 2), 3, 1)
+    # The degree is checked before b, and b before c.
+    with pytest.raises(UnsupportedDegree):
+        build_f3(make_tower(3, 1, 2), 0, 0)
+    with pytest.raises(BZero):
+        build_f3(make_tower(2, 1, 3), 0, 0)
+    with pytest.raises(CZero):
+        build_f3(make_tower(2, 1, 3), 2, 0)
 
 
 def test_grid_trimming_and_coeff():

@@ -561,6 +561,20 @@ def test_basis_helpers_return_plain_ints():
     assert pairs and all(type(x) is int for pair in pairs for x in pair)
 
 
+def test_encoding_maps_refuse_encodings_outside_the_field():
+    # size comes first: pretty_enc(-1) once looped without end on its
+    # digits, and pretty_enc(size) rendered a polynomial outside the field.
+    t = make_tower(3, 1, 2)
+    maps = (t.pretty_enc, t.frob_enc, t.trace_enc, t.norm_enc,
+            lambda a: t.in_subfield_enc(a, 1),
+            lambda a: t.trace_rel_enc(a, 2, 2))
+    for bad in (t.size, -1, 2.0):
+        for enc_map in maps:
+            with pytest.raises(OutOfRange,
+                               match=f"encoding {bad} outside field of size 9"):
+                enc_map(bad)
+
+
 def test_basis_det_validation():
     t = make_tower(2, 1, 3)
     with pytest.raises(BZero):

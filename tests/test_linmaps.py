@@ -175,11 +175,3 @@ def test_trace_decompose_reconstructs():
                     term = top.mul(alpha, t.trace_enc(top.mul(beta, x)))
                     acc = top.add(acc, term)
                 assert acc == L.eval_enc(x)
-
-
-def test_pretty():
-    t = make_tower(3, 1, 2)
-    assert "x" in LinearizedPoly(t, (1, 2)).pretty()
-    assert LinearizedPoly(t, (0,)).pretty() == "0"
-    # Coefficients are parenthesized only when they contain a space.
-    assert LinearizedPoly(make_tower(3, 1, 2), (2, 3)).pretty() == "v*x^3 + 2*x"

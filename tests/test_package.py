@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, the export
 list is sorted and unique, names the package no longer offers stay gone,
-no module imports a name it never uses, and the README's library example
-runs.
+no module imports a name it never uses or defines a private name nothing
+reads, and the README's library example runs.
 """
 
 import ast
@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import permrf
-from permrf import bivariate, errors, linmaps
+from permrf import bivariate, errors, gf_core, linmaps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,11 +24,13 @@ DROPPED = ("frobenius", "trace_rel", "trace", "norm", "invert",
 
 # Reached by nothing but tests: the LinearizedPoly and BivarPoly
 # constructors, eval_enc, apply_sigma(f, 1) == f, tower.top, tower.mid,
-# tower.base and range(tower.size) do each job.
+# tower.base and range(tower.size) do each job; the prime field's neg and
+# pow, and the text of a linear map, had no job.
 DROPPED_ATTRS = (
     (linmaps, ("from_matrix",)),
     (linmaps.LinearizedPoly, ("zero", "scaling", "frobenius_power",
-                              "__call__")),
+                              "__call__", "pretty")),
+    (gf_core._PrimeField, ("neg", "pow")),
     (bivariate, ("constant",)),
     (bivariate.BivarPoly, ("is_fq_stable",)),
     (permrf.FieldTower, ("ops", "elements")),
@@ -83,6 +85,64 @@ def test_unused_import_check_sees_one():
     assert _unused_imports("from functools import partial, reduce\n"
                            "reduce\n") == [(1, "partial")]
     assert _unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def _defined_private_names(tree):
+    """The _-prefixed names of a module's functions, classes, assignments
+    and class methods, dunder names left out."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        yield from (name for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def _unread_private_names(sources):
+    """(module, name) for each private name some module defines and no
+    module reads, as a variable, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _defined_private_names(tree)
+                  if name not in read)
+
+
+def test_no_unread_private_names():
+    paths = sorted((ROOT / "src" / "permrf").glob("*.py"))
+    assert paths
+    assert _unread_private_names(
+        {path.name: path.read_text() for path in paths}) == []
+
+
+def test_unread_private_name_check_sees_them():
+    source = ("def _used():\n    pass\n\n"
+              "def _dead():\n    pass\n\n"
+              "class _Box:\n"
+              "    def __init__(self):\n        self._slot = _used()\n\n"
+              "    def _peek(self):\n        pass\n\n"
+              "_TABLE = {}\n")
+    assert _unread_private_names({"m.py": source}) == [
+        ("m.py", "_Box"), ("m.py", "_TABLE"), ("m.py", "_dead"),
+        ("m.py", "_peek")]
+    # A name another module imports or reads is in use.
+    assert _unread_private_names({
+        "a.py": "def _f():\n    pass\n\n_g = 1\n",
+        "b.py": "from .a import _f\nfrom . import a\n_f(a._g)\n"}) == []
 
 
 def test_readme_library_example_runs():

@@ -122,6 +122,9 @@ def test_classify_budget_gate():
     # 3:2 costs q(q-1)/2 * (q^n - 1) = 3 * 8 = 24 bit operations per b.
     with pytest.raises(SizeBudgetExceeded, match="24"):
         classify_c(make_tower(3, 1, 2, size_budget=23), 3)
+    # A bad b is refused before the budget is weighed.
+    with pytest.raises(BInBaseField):
+        classify_c(make_tower(3, 1, 2, size_budget=23), 1)
     assert classify_c(make_tower(3, 1, 2, size_budget=24), 3) == [1]
     # 2^5:3 sits under the default budget (496 * 32767 < 2^24), though its
     # squared size does not.
@@ -389,6 +392,8 @@ def test_pair_free_c_matches_reference_exhaustively(params):
 
 
 def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
+    # They read the (tower, b) state's logarithms, but neither scans a
+    # pair nor slices a row of it.
     cases = [(t, b) for t in (make_tower(3, 1, 2), make_tower(2, 2, 3))
              for b in range(t.q, t.size)]
     classified = [classify_c(t, b) for t, b in cases]
@@ -397,11 +402,36 @@ def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("classification used the pair scan")
 
+    states = []
+    pair_scan = ratfunc._pair_scan
+
+    def record(tower, b):
+        states.append(pair_scan(tower, b))
+        return states[-1]
+
+    ratfunc._pair_scan.cache_clear()
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
-    monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
-    assert [classify_c(t, b) for t, b in cases] == classified
+    monkeypatch.setattr(ratfunc, "_pair_scan", record)
+    for (t, b), want in zip(cases, classified):
+        assert classify_c(t, b) == want
+        assert states[-1][-1] == [None] * (t.q - 1)
+    count = len(states)
     assert verify.reports_to_json(
         verify.run_suite("proposition", [4, 5, 11])) == reports
+    assert len(states) > count
+    assert all(row is None for state in states for row in state[-1])
+
+
+def test_one_pair_state_serves_classify_and_both_criteria():
+    t = make_tower(3, 1, 3)
+    b = 5
+    ratfunc._pair_scan.cache_clear()
+    classify_c(t, b)
+    assert ratfunc._pair_scan.cache_info().misses == 1
+    for c in range(1, t.size):
+        kernel_criterion(t, b, c)
+        pairwise_criterion(t, b, c)
+    assert ratfunc._pair_scan.cache_info().misses == 1
 
 
 def test_pair_memo_isolated_across_towers_and_b():
@@ -463,7 +493,6 @@ def test_float_b_or_c_is_refused_whatever_is_cached():
              lambda: pairwise_criterion(t, 3, 2.0),
              lambda: kernel_criterion(t, 3, 2.0))
     ratfunc._pair_scan.cache_clear()
-    ratfunc._inverse_logs.cache_clear()
     for call in calls:
         with pytest.raises(OutOfRange):
             call()
@@ -477,7 +506,6 @@ def test_float_b_or_c_is_refused_whatever_is_cached():
 def test_pair_scan_builds_rows_only_up_to_the_witness():
     t = make_tower(7, 1, 2)
     b = 7
-    ilog = ratfunc._inverse_logs(t, b)
     by_row = {}
     for c in range(1, t.size):
         pair = reference_first_pair(t, b, c, 1)
@@ -485,6 +513,12 @@ def test_pair_scan_builds_rows_only_up_to_the_witness():
             by_row.setdefault(pair[0], c)
     assert 0 in by_row and max(by_row) >= 2
     ratfunc._pair_scan.cache_clear()
+    *_, ilog, rows = ratfunc._pair_scan(t, b)
+    assert rows == [None] * (t.q - 1)
+    # The logarithms are the log table's own int objects.
+    top = t.top
+    assert all(lx is top._log[top.inv(top.add(x0, b))]
+               for x0, lx in enumerate(ilog))
     for x0 in sorted(by_row):
         assert pairwise_criterion(t, b, by_row[x0]).witness[0] == x0
         rows = ratfunc._pair_scan(t, b)[-1]
@@ -523,7 +557,6 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
     monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
-    monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
     t = make_tower(3, 1, 2)
     assert is_permutation_direct(RatFuncSpec(t, 3, 1))
     assert not is_permutation_direct(RatFuncSpec(t, 3, 2))
@@ -557,7 +590,6 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
 
     monkeypatch.setattr(ratfunc, "_first_pair", refuse)
     monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
-    monkeypatch.setattr(ratfunc, "_inverse_logs", refuse)
     rng = random.Random("ratfunc-direct-scan")
     for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2)):
         t = make_tower(*params)
