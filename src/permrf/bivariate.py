@@ -37,8 +37,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DegreeTooSmall, SizeBudgetExceeded, UnsupportedDegree, WrongDegree
-from .gf_core import FieldTower, _check_bc, _power, _render_terms
+from .errors import DegreeTooSmall, UnsupportedDegree, WrongDegree
+from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc, _power,
+                      _render_terms)
 
 
 def _trim(grid):
@@ -157,6 +158,8 @@ def trace_poly(f):
 
 
 def eval_poly(f, x, y):
+    _check_enc(f.tower, x, "x")
+    _check_enc(f.tower, y, "y")
     top = f.tower.top
     acc = 0
     for row in reversed(f.grid):
@@ -279,10 +282,8 @@ def conjugate_factor_search(f):
     """
     tower = f.tower
     n = tower.n
-    if tower.size ** 3 > tower.size_budget:
-        raise SizeBudgetExceeded(
-            f"factor search space {tower.size}^3 over the budget "
-            f"{tower.size_budget}")
+    _check_budget(tower.size ** 3, tower.size_budget,
+                  f"factor search space {tower.size}^3")
     if f.coeff(n, n) != 1:
         return None
     top, trace = tower.top, tower.trace_table

@@ -68,6 +68,7 @@ from .errors import (
     OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
+    UsageError,
 )
 
 DEFAULT_SIZE_BUDGET = 1 << 24
@@ -558,17 +559,29 @@ def _size_budget(size_budget):
     return DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
 
 
+def _check_budget(work, budget, what):
+    """Refuse work over the size budget; every guard raises
+    SizeBudgetExceeded here, in this one message shape."""
+    if work > budget:
+        raise SizeBudgetExceeded(
+            f"{what} = {work} is over the size budget {budget}")
+
+
 def _check_tower_params(p, m, n, budget):
-    """Cheap checks first: the size is bounded before p is factored, and
-    p^(m*n) is only computed once m*n is below the budget's bit length,
-    which p >= 2 makes a bound."""
+    """Cheap checks first: types before any cache sees them (1.0 and True
+    hash as 1), the size before p is factored, and p^(m*n) only once m*n
+    is below the budget's bit length, which p >= 2 makes a bound."""
     if not isinstance(p, int) or p < 2:
         raise NotPrime(f"characteristic {p} is not prime")
-    if m < 1 or n < 1:
-        raise DegreeZero("extension degrees must be at least 1")
-    if m * n >= budget.bit_length() or p ** (m * n) > budget:
-        raise SizeBudgetExceeded(
-            f"{p}^{m * n} exceeds the size budget {budget}")
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
+        raise DegreeZero(f"extension degrees must be ints of at least 1, "
+                         f"not m={m!r}, n={n!r}")
+    if type(budget) is not int:
+        raise UsageError(f"size budget must be an int, not {budget!r}")
+    e, k = m * n, budget.bit_length()
+    if e >= k:
+        _check_budget(1 << k, budget, f"{p}^{e} >= 2^{k}")
+    _check_budget(p ** e, budget, f"{p}^{e}")
     if _factor_int(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
 
@@ -762,9 +775,8 @@ def dual_basis(tower, basis):
     encs = list(basis)
     if len(encs) != n:
         raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
-    if not all(0 <= e < tower.size for e in encs):
-        raise OutOfRange(f"basis {encs} has an encoding outside the field "
-                         f"of size {tower.size}")
+    for e in encs:
+        _check_enc(tower, e, "basis")
     gram = [[tower.trace_enc(tower.top.mul(bi, bj)) for bj in encs]
             for bi in encs]
     inv = _linalg.inv_matrix(tower.mid, gram)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import _linalg
 from .errors import NotBijective, OutOfRange
-from .gf_core import FieldTower, dual_basis
+from .gf_core import FieldTower, _check_enc, dual_basis
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,9 @@ class LinearizedPoly:
 
     def __post_init__(self):
         n = self.tower.n
-        size = self.tower.size
         folded = [0] * n
         for i, a in enumerate(self.coeffs):
-            if not isinstance(a, int) or not 0 <= a < size:
-                raise OutOfRange(f"coefficient {a!r} is not a top encoding")
+            _check_enc(self.tower, a, "coefficient")
             folded[i % n] = self.tower.top.add(folded[i % n], a)
         object.__setattr__(self, "coeffs", tuple(folded))
 
@@ -120,8 +118,7 @@ def complete_basis(tower, vectors):
     """
     vectors = list(vectors)
     for enc in vectors:
-        if not 0 <= enc < tower.size:
-            raise OutOfRange(f"encoding {enc} is not a top encoding")
+        _check_enc(tower, enc, "vector")
     out = []
     for i, enc in enumerate(vectors + [tower.q ** k for k in range(tower.n)]):
         rows = [tower.top.digits(e, tower.n) for e in out + [enc]]

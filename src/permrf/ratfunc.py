@@ -63,11 +63,9 @@ from .errors import (
     EvenCharacteristic,
     LevelMismatch,
     NotInSubfield,
-    OutOfRange,
-    SizeBudgetExceeded,
     UnsupportedDegree,
 )
-from .gf_core import FieldTower, _check_b, _check_bc
+from .gf_core import FieldTower, _check_b, _check_bc, _check_budget, _check_enc
 from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
 
 
@@ -100,14 +98,10 @@ class KernelCriterion(NamedTuple):
 
 def eval_rf(spec, x):
     tower = spec.tower
-    if not 0 <= x < tower.size:
-        raise OutOfRange(f"x encoding {x} outside field of size {tower.size}")
+    _check_enc(tower, x, "x")
     top = tower.top
     den = top.add(tower.trace_table[x], spec.b)
-    out = top.mul(spec.c, top.inv(den))
-    if spec.L.is_identity:
-        return top.add(x, out)
-    return top.add(spec.L.eval_enc(x), out)
+    return top.add(spec.L.eval_enc(x), top.mul(spec.c, top.inv(den)))
 
 
 def is_permutation_direct(spec):
@@ -275,11 +269,8 @@ def classify_c(tower, b):
     """
     _pair_scan(tower, b)  # checks b; _pair_free_c reads its logarithms
     q = tower.q
-    bound = q * (q - 1) // 2 * (tower.size - 1)
-    if bound > tower.size_budget:
-        raise SizeBudgetExceeded(
-            f"classification bound q(q-1)/2 * (q^n - 1) = {bound} bit "
-            f"operations is over the budget {tower.size_budget}")
+    _check_budget(q * (q - 1) // 2 * (tower.size - 1), tower.size_budget,
+                  "classification bound q(q-1)/2 * (q^n - 1) bit operations")
     return _pair_free_c(tower, b, 1)
 
 
@@ -319,8 +310,6 @@ def normalize_spec(spec):
     x + alpha*c/(Tr(x)+b) without changing whether it permutes.
     """
     tower = spec.tower
-    if spec.L.is_identity:
-        return spec, 1
     alpha = _adjoint(invert_lin(spec.L)).eval_enc(1)
     return RatFuncSpec(tower, spec.b, tower.top.mul(alpha, spec.c)), alpha
 
@@ -328,8 +317,6 @@ def normalize_spec(spec):
 def is_permutation(spec):
     """Permutation verdict for any L, routed by the rank of L."""
     tower = spec.tower
-    if spec.L.is_identity:
-        return pairwise_criterion(tower, spec.b, spec.c).ok
     rank, kernel, _ = rank_kernel_image(spec.L)
     if rank == tower.n:
         std, _ = normalize_spec(spec)

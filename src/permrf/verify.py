@@ -44,8 +44,9 @@ from typing import Callable, Optional
 
 from ._pool import map_ordered
 from .bivariate import bilinear, build_f2, build_f3, conjugate_factor_search, norm_poly
-from .errors import EvenCharacteristic, NotPrime, SizeBudgetExceeded, UsageError
-from .gf_core import _factor_int, _size_budget, basis_det_b, make_tower
+from .errors import EvenCharacteristic, NotPrime, UsageError
+from .gf_core import (_check_budget, _factor_int, _size_budget, basis_det_b,
+                      make_tower)
 from .linmaps import LinearizedPoly
 from .ratfunc import (
     RatFuncSpec,
@@ -128,13 +129,10 @@ def _verdicts(tower, b, c):
 def _degrees_in_budget(suite, q, degrees, power, budget):
     """The degrees n, ascending, whose cost q^(n*power) is within the
     budget; SizeBudgetExceeded, naming q and the bound, when none is."""
-    fitting = [n for n in degrees if q ** (n * power) <= budget]
-    if not fitting:
-        e = degrees[0] * power
-        raise SizeBudgetExceeded(
-            f"{suite} at q = {q}: its smallest tower costs q^{e} = "
-            f"{q ** e}, over the size budget {budget}")
-    return fitting
+    e = degrees[0] * power
+    _check_budget(q ** e, budget, f"{suite} at q = {q}: its smallest tower "
+                  f"costs q^{e}")
+    return [n for n in degrees if q ** (n * power) <= budget]
 
 
 def _jobs_per_b(case, tower, *args):
@@ -186,17 +184,17 @@ def _fields(suite, qs, mode, budget):
     if not qs:
         raise UsageError(f"suite {suite.name} needs at least one q")
     for q in qs:
-        if isinstance(q, int) and q > budget:
-            raise SizeBudgetExceeded(
-                f"q = {q} exceeds the size budget {budget}")
+        if isinstance(q, int):
+            _check_budget(q, budget, "q")
     return [(q, *split_prime_power(q)) for q in qs]
 
 
 def _run(entries, seed, workers, size_budget, samples):
     """Every report of the (suite, qs, mode) entries, in order, from one
     map_ordered call over all of their jobs."""
-    if samples < 0:
-        raise UsageError(f"samples must be at least 0, not {samples}")
+    if not isinstance(samples, int) or samples < 0:
+        raise UsageError(f"samples must be an int of at least 0, "
+                         f"not {samples!r}")
     budget = _size_budget(size_budget)
     checked = [(suite, _fields(suite, qs, mode, budget), mode)
                for suite, qs, mode in entries]

@@ -17,8 +17,12 @@ from hypothesis import given, strategies as st
 from helpers import SMALL_TOWERS, tower_and_elements, towers
 from permrf import (
     LinearizedPoly,
+    RatFuncSpec,
     basis_det_b,
+    build_f2,
     dual_basis,
+    eval_poly,
+    eval_rf,
     gf_core,
     make_tower,
     matrix_of,
@@ -36,8 +40,10 @@ from permrf.errors import (
     OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
+    UsageError,
 )
 from permrf.gf_core import DEFAULT_SIZE_BUDGET
+from permrf.linmaps import complete_basis
 
 # Smallest monic irreducibles by ascending coefficient code, middle
 # then top, coefficients low to high.
@@ -444,6 +450,20 @@ def test_constructor_validation():
         make_tower(3, 2, 2, g=(2.0, 1, 1))
     with pytest.raises(InvalidModulus):
         make_tower(3, 2, 2, g=(2.0, 1, 1), h=(4, 0, 1))
+    # Degrees and the budget must be ints, cached tower or not: 1.0 and
+    # True hash as 1, so they would share the cache key of 3:2.
+    bad_types = (((3, 1.0, 2), {}, DegreeZero),
+                 ((3, True, 2), {}, DegreeZero),
+                 ((3, 1, 2.0), {}, DegreeZero),
+                 ((3, 1, 2), {"size_budget": 100.0}, UsageError))
+    for warm in (False, True):
+        make_tower.cache_clear()
+        if warm:
+            make_tower(3, 1, 2)
+        for args, kwargs, error in bad_types:
+            with pytest.raises(error):
+                make_tower(*args, **kwargs)
+        assert make_tower(3, 1, 2).field_spec == "3^1:2"
 
 
 def test_custom_modulus_accepted():
@@ -565,9 +585,16 @@ def test_encoding_maps_refuse_encodings_outside_the_field():
     # size comes first: pretty_enc(-1) once looped without end on its
     # digits, and pretty_enc(size) rendered a polynomial outside the field.
     t = make_tower(3, 1, 2)
+    f = build_f2(t, 3, 1)
     maps = (t.pretty_enc, t.frob_enc, t.trace_enc, t.norm_enc,
             lambda a: t.in_subfield_enc(a, 1),
-            lambda a: t.trace_rel_enc(a, 2, 2))
+            lambda a: t.trace_rel_enc(a, 2, 2),
+            lambda a: dual_basis(t, (1, a)),
+            lambda a: complete_basis(t, [a]),
+            lambda a: eval_rf(RatFuncSpec(t, 3, 1), a),
+            lambda a: eval_poly(f, a, 0),
+            lambda a: eval_poly(f, 0, a),
+            lambda a: LinearizedPoly(t, (a,)))
     for bad in (t.size, -1, 2.0):
         for enc_map in maps:
             with pytest.raises(OutOfRange,

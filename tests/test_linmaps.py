@@ -144,7 +144,7 @@ def test_complete_basis():
         complete_basis(t, [1, 2, 4, 3])
     # Checked before any elimination: digits() never ends on a negative.
     for enc in (8, -1):
-        with pytest.raises(OutOfRange, match=f"encoding {enc} is not a top"):
+        with pytest.raises(OutOfRange, match=f"encoding {enc} outside field of size 8"):
             complete_basis(t, [enc])
 
 

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, the export
 list is sorted and unique, names the package no longer offers stay gone,
 no module imports a name it never uses or defines a private name nothing
-reads, and the README's library example runs.
+reads, only gf_core raises SizeBudgetExceeded, and the README's library
+example runs.
 """
 
 import ast
@@ -143,6 +144,38 @@ def test_unread_private_name_check_sees_them():
     assert _unread_private_names({
         "a.py": "def _f():\n    pass\n\n_g = 1\n",
         "b.py": "from .a import _f\nfrom . import a\n_f(a._g)\n"}) == []
+
+
+def _budget_refusals(source):
+    """Lines that construct SizeBudgetExceeded, called or raised bare."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        made = (node.func if isinstance(node, ast.Call)
+                else node.exc if isinstance(node, ast.Raise) else None)
+        name = getattr(made, "id", None) or getattr(made, "attr", None)
+        if name == "SizeBudgetExceeded":
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_gf_core_raises_size_budget_exceeded():
+    """Every size guard goes through gf_core._check_budget."""
+    paths = sorted((ROOT / "src" / "permrf").glob("*.py"))
+    assert paths
+    found = {path.name: _budget_refusals(path.read_text()) for path in paths
+             if path.name != "gf_core.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_budget_refusal_check_sees_them():
+    source = ("from . import errors\n"
+              "from .errors import SizeBudgetExceeded\n"
+              "def f(x):\n"
+              "    if x:\n"
+              "        raise SizeBudgetExceeded('x')\n"
+              "    raise errors.SizeBudgetExceeded\n"
+              "try:\n    f(0)\nexcept SizeBudgetExceeded:\n    pass\n")
+    assert _budget_refusals(source) == [5, 6]
 
 
 def test_readme_library_example_runs():

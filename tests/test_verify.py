@@ -363,6 +363,8 @@ def test_run_suite_validation():
     with pytest.raises(UsageError):
         run_suite("lemma-equiv", samples=-3)
     with pytest.raises(UsageError):
+        run_suite("lemma-equiv", samples=1.5)
+    with pytest.raises(UsageError):
         run_suite("theorem-n2", (3,), samples=-3)
     with pytest.raises(UsageError):
         run_suite("theorem-n2", ("4",))
