@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DegreeTooSmall, UnsupportedDegree, WrongDegree
+from .errors import DegreeTooSmall, UnsupportedDegree, UsageError, WrongDegree
 from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc, _power,
                       _render_terms)
 
@@ -327,7 +327,10 @@ def weil_threshold(d):
 
 
 def weil_holds(q, d):
-    """Whether q + 1 - (d-1)(d-2) sqrt(q) - 2d > 0, in exact integers."""
+    """Whether q + 1 - (d-1)(d-2) sqrt(q) - 2d > 0, in exact integers.
+    q and d must be ints: 9.0 would answer as 9, and True as 1."""
+    if type(q) is not int or type(d) is not int:
+        raise UsageError(f"q and d must be ints, not q={q!r}, d={d!r}")
     if d < 2:
         raise DegreeTooSmall(f"degree {d} has no smooth model to bound")
     margin = q - 2 * d + 1

@@ -652,12 +652,15 @@ class FieldTower:
     def field_spec(self):
         return f"{self.p}^{self.m}:{self.n}"
 
-    # Maps on top encodings; each refuses an a outside the field.
+    # Maps on top encodings; each refuses an a outside the field, and a
+    # degree or power that is not an int, as _check_tower_params does:
+    # 2.0 and True pass a range test, then fail in range() or count as 1.
 
     def frob_enc(self, a, i=1):
         _check_enc(self, a, "element")
-        if not 0 <= i < self.n:
-            raise OutOfRange(f"Frobenius power {i} outside 0..{self.n - 1}")
+        if type(i) is not int or not 0 <= i < self.n:
+            raise OutOfRange(
+                f"Frobenius power {i!r} is not an int in 0..{self.n - 1}")
         for _ in range(i):
             a = self.frob_table[a]
         return a
@@ -674,8 +677,9 @@ class FieldTower:
 
     def in_subfield_enc(self, a, d):
         _check_enc(self, a, "element")
-        if d < 1 or self.n % d != 0:
-            raise NonDivisorDegrees(f"{d} does not divide {self.n}")
+        if type(d) is not int or d < 1 or self.n % d != 0:
+            raise NonDivisorDegrees(
+                f"degree {d!r} is not an int dividing {self.n}")
         t = a
         for _ in range(d):
             t = self.frob_table[t]
@@ -683,9 +687,10 @@ class FieldTower:
 
     def trace_rel_enc(self, a, frm, to):
         """Relative trace from F_{q^frm} down to F_{q^to}."""
-        if frm < 1 or to < 1 or frm % to != 0 or self.n % frm != 0:
-            raise NonDivisorDegrees(
-                f"need to | frm | n, got to={to} frm={frm} n={self.n}")
+        if (type(frm) is not int or type(to) is not int or frm < 1
+                or to < 1 or frm % to != 0 or self.n % frm != 0):
+            raise NonDivisorDegrees(f"need ints with to | frm | n, "
+                                    f"got to={to!r} frm={frm!r} n={self.n}")
         if not self.in_subfield_enc(a, frm):
             raise NotInSubfield(f"encoding {a} is not in F_q^{frm}")
         acc = 0

@@ -46,17 +46,23 @@ per-(tower, b) memo's b check and logarithms; classify_c never reads or
 builds a row.  The direct and reduced tests do their own field
 arithmetic and touch neither, so they stay independent checks of both.
 
-Direct evaluation still visits every element in order, but c/(Tr(x) + b)
-depends on x only through Tr(x), so its q values are computed first: q
-inversions, not q^n.  L is additive over the base-q digits of an encoding,
-so x = hi + lo, with hi a multiple of width = q^ceil(n/2) and lo < width,
+Direct evaluation visits every element once.  c/(Tr(x) + b) depends on
+x only through Tr(x), so its q values are computed first: q divisions,
+not q^n.  L is additive over the base-q digits of an encoding, so
+x = hi + lo, with hi a multiple of width = q^ceil(n/2) and lo < width,
 has L(x) = L(hi) + L(lo): one table of L(lo) and one evaluation of L(hi)
 per block, about 2*sqrt(q^n) evaluations in all.  Adding L(hi) to the q
-shifts once per block leaves one addition per element.
+shifts once per block leaves one addition per element.  Characteristic 2
+adds by XOR, in ascending order.  Odd characteristic adds on logarithms,
+log(u + w) = log u + zech[log w - log u]: the shifts and the table of
+L(lo) are kept as logarithms, so an element costs one Zech read and no
+call, and L = x walks x = g^k in exponent order, where log x is k.  The
+rare zero operand or zero sum falls back to top.add.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -105,8 +111,18 @@ def eval_rf(spec, x):
 
 
 def is_permutation_direct(spec):
-    """Evaluate the map on every element, ascending; True when no value
-    repeats, False at the first repeat."""
+    """Evaluate the map on every element; True when no value repeats,
+    False at the first repeat.  Characteristic 2 visits the elements in
+    ascending order and adds by XOR; odd characteristic adds in the log
+    domain (see _scan_logs)."""
+    if spec.tower.p == 2:
+        return _scan_xor(spec)
+    return _scan_logs(spec)
+
+
+def _scan_xor(spec):
+    """The characteristic 2 scan: elements in ascending order, sums by
+    XOR of encodings."""
     tower = spec.tower
     top, trace, size = tower.top, tower.trace_table, tower.size
     add = top.add
@@ -130,6 +146,59 @@ def is_permutation_direct(spec):
             if seen[y]:
                 return False
             seen[y] = 1
+    return True
+
+
+def _scan_logs(spec):
+    """The odd-characteristic scan.  A None log (a zero operand) or a
+    None from zech (a zero sum) raises TypeError in the arithmetic.  seen
+    is indexed by the image's logarithm, slot size - 1 standing for 0.
+    The shifts log(c/(t + b)) are log c - log b - zech[log t - log b]
+    for t != 0, and t + b is never 0."""
+    tower = spec.tower
+    top, trace, size, q = tower.top, tower.trace_table, tower.size, tower.q
+    exp, log, zech = top._exp, top._log, top._zech
+    order = size - 1
+    lb = log[spec.b]
+    lcb = log[spec.c] - lb
+    shift = [lcb % order] + [(lcb - zech[log[t] - lb]) % order
+                             for t in range(1, q)]
+    seen = bytearray(size)
+    if spec.L.is_identity:
+        # x = 0 first, with image c/b; then x = g^k in exponent order.
+        seen[shift[0]] = 1
+        for k, t in enumerate(map(trace.__getitem__, islice(exp, order))):
+            try:
+                j = (k + zech[shift[t] - k]) % order
+            except TypeError:
+                j = order
+            if seen[j]:
+                return False
+            seen[j] = 1
+        return True
+    lin = spec.L.eval_enc
+    width = q ** -(-tower.n // 2)
+    row = [log[lin(lo)] for lo in range(width)]
+    for hi in range(0, size, width):
+        lhi = lin(hi)
+        block = shift
+        if lhi:
+            lh = log[lhi]
+            block = [None if z is None else (lh + z) % order
+                     for z in [zech[s - lh] for s in shift]]
+        for lo, t in zip(row, trace[hi:hi + width]):
+            try:
+                j = (lo + zech[block[t] - lo]) % order
+            except TypeError:
+                # A None: L(lo) = 0, L(hi) + c/(t + b) = 0, or their sum
+                # is 0.  Add the encodings.
+                lt = block[t]
+                y = top.add(0 if lo is None else exp[lo],
+                            0 if lt is None else exp[lt])
+                j = log[y] if y else order
+            if seen[j]:
+                return False
+            seen[j] = 1
     return True
 
 
@@ -283,8 +352,8 @@ def closed_form_c(tower, b, d=None):
     _check_b(tower, b)
     if d is None:
         d = tower.n
-    if d not in (2, 3):
-        raise UnsupportedDegree(f"no closed form for degree {d}")
+    if type(d) is not int or d not in (2, 3):
+        raise UnsupportedDegree(f"no closed form for degree {d!r}")
     if not tower.in_subfield_enc(b, d):
         raise NotInSubfield(
             f"b encoding {b} does not lie in the degree {d} subfield")

@@ -39,6 +39,7 @@ from permrf.errors import (
     DegreeTooSmall,
     SizeBudgetExceeded,
     UnsupportedDegree,
+    UsageError,
     WrongDegree,
 )
 from helpers import prime_powers, reference_factor_search
@@ -364,6 +365,14 @@ def test_weil_threshold():
         weil_threshold(1)
     with pytest.raises(DegreeTooSmall):
         weil_holds(9, 1)
+
+
+def test_weil_holds_refuses_non_int_arguments():
+    # 9.5 answered False, 9.0 answered as 9 and True as 1.
+    for q, d in ((9.5, 4), (9.0, 4), (True, 4), (53, 4.0), (53, True)):
+        with pytest.raises(UsageError, match="must be ints"):
+            weil_holds(q, d)
+    assert weil_holds(53, 4)
 
 
 def test_weil_frozen_values():

@@ -466,6 +466,24 @@ def test_constructor_validation():
         assert make_tower(3, 1, 2).field_spec == "3^1:2"
 
 
+def test_degree_and_power_arguments_must_be_ints():
+    # 1.0 and 2.0 pass the range tests and then failed in range() with a
+    # bare TypeError; True counted as 1.
+    t = make_tower(3, 1, 2)
+    for i in (1.0, True, "1"):
+        with pytest.raises(OutOfRange, match="is not an int"):
+            t.frob_enc(4, i)
+    for d in (2.0, True):
+        with pytest.raises(NonDivisorDegrees, match="is not an int"):
+            t.in_subfield_enc(4, d)
+    for frm, to in ((2.0, 1), (2, 1.0), (2, True), (True, True)):
+        with pytest.raises(NonDivisorDegrees, match="need ints"):
+            t.trace_rel_enc(4, frm, to)
+    assert t.frob_enc(4, 1) == t.frob_table[4]
+    assert t.in_subfield_enc(4, 2)
+    assert t.trace_rel_enc(4, 2, 1) == t.trace_enc(4)
+
+
 def test_custom_modulus_accepted():
     t = make_tower(3, 1, 2, h=(2, 2, 1))
     assert tuple(t.top.modulus) == (2, 2, 1)

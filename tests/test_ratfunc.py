@@ -4,6 +4,8 @@ trace-one scan.  Frozen values come from an independent implementation.
 """
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -183,6 +185,14 @@ def test_closed_form_validation():
         closed_form_c(t, 2, d=4)
     with pytest.raises(NotInSubfield):
         closed_form_c(t, 2, d=2)
+    # A degree equal to 2 or 3 but not an int is refused, not passed on
+    # to range() (on 3:2, 2.0 raised a bare TypeError).
+    t = make_tower(3, 1, 2)
+    for d in (2.0, 3.0):
+        with pytest.raises(UnsupportedDegree, match=f"degree {d}"):
+            closed_form_c(t, 3, d)
+        with pytest.raises(UnsupportedDegree):
+            lifted_c_set(t, 3, d)
 
 
 def test_lifted_c_set_frozen_f16():
@@ -582,30 +592,64 @@ def _seeded_map_of_rank(t, rank, rng):
 
 def test_direct_scan_matches_pointwise_reference(monkeypatch):
     # At odd n the digit blocks are q^((n+1)/2) wide and fewer than that
-    # many; 2^2:3 has a middle field that is not prime.  Every c is tried,
-    # so the closed form and the other permuting c run full scans, and the
-    # rest stop at a repeat.
+    # many; 2^2:3 and 3^2:2 have a middle field that is not prime.  Every
+    # c is tried, so the closed form and the other permuting c run full
+    # scans, and the rest stop at a repeat.  In odd characteristic the
+    # scan adds on logarithms: events counts, per kind of L, the Zech
+    # reads that found a zero sum and the top.add calls that ratfunc
+    # made while scanning.
     def refuse(*args):
         raise AssertionError("direct evaluation used the pair scan")
 
-    monkeypatch.setattr(ratfunc, "_first_pair", refuse)
-    monkeypatch.setattr(ratfunc, "_pair_scan", refuse)
+    for name in ("_first_pair", "_pair_scan", "_level_set"):
+        monkeypatch.setattr(ratfunc, name, refuse)
+    events = Counter()
+    kind = [None]
+
+    class CountedZech(list):
+        def __getitem__(self, k):
+            z = super().__getitem__(k)
+            if z is None and sys._getframe(1).f_globals is vars(ratfunc):
+                events[kind[0], "zero sum"] += 1
+            return z
+
     rng = random.Random("ratfunc-direct-scan")
-    for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2)):
+    for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2),
+                   (3, 2, 2), (7, 1, 2)):
         t = make_tower(*params)
         top = t.top
         b = rng.randrange(t.q, t.size)
         maps = [None, LinearizedPoly(t, (top.neg(1), 1))]
         maps += [_seeded_map_of_rank(t, r, rng) for r in range(t.n + 1)]
-        permuting_with_L = 0
+        cases = []
         for L in maps:
             for c in range(1, t.size):
                 spec = RatFuncSpec(t, b, c, L)
-                want = len({eval_rf(spec, x)
-                            for x in range(t.size)}) == t.size
-                assert is_permutation_direct(spec) == want
-                permuting_with_L += want and L is not None
-        assert permuting_with_L > 0
+                cases.append((spec, len({eval_rf(spec, x)
+                                         for x in range(t.size)}) == t.size))
         if t.n in (2, 3):
-            closed = closed_form_c(t, b)
-            assert is_permutation_direct(RatFuncSpec(t, b, closed))
+            cases.append((RatFuncSpec(t, b, closed_form_c(t, b)), True))
+        if t.p != 2:
+            def counted_add(u, w, add=top.add):
+                y = add(u, w)
+                if sys._getframe(1).f_globals is vars(ratfunc):
+                    events[kind[0], "add"] += 1
+                    events[kind[0], "add to 0"] += y == 0
+                return y
+
+            # An entry in the instance's dict shadows the method until
+            # monkeypatch deletes it again.
+            monkeypatch.setitem(vars(top), "add", counted_add)
+            monkeypatch.setattr(top, "_zech", CountedZech(top._zech))
+        for spec, want in cases:
+            kind[0] = "identity" if spec.L.is_identity else "general"
+            assert is_permutation_direct(spec) == want
+        assert any(want for spec, want in cases if not spec.L.is_identity)
+    # The identity scan meets the image 0 as a None from zech and never
+    # calls top.add; the general scan falls back to top.add on a zero
+    # operand or sum, some of them images 0.
+    assert events["identity", "zero sum"] > 0
+    assert events["identity", "add"] == 0
+    assert events["general", "add"] > 0
+    assert events["general", "add to 0"] > 0
+
