@@ -25,7 +25,8 @@ Multiplication and inversion run on exponential and logarithm tables
 built from the smallest-encoding generator g of each level.  The search
 for g starts at the ground size s when the degree d exceeds 1, since a
 ground element's order divides s - 1.  With c = (s^d - 1)/(s - 1), g^c
-lies in the ground and generates its units, so g^(k*c + i) =
+lies in the ground and generates its units, which the search tests in
+the ground before any other power of a candidate.  So g^(k*c + i) =
 (g^c)^k * g^i: only the first c powers are stepped one by one, and the
 other s - 2 blocks are the first scaled by (g^c)^k, which multiplies
 each base-s digit on its own (one row of the ground per k, each row the
@@ -38,10 +39,12 @@ digit in the ground field otherwise.  In odd characteristic addition
 runs on the same tables through Zech logarithms, zech[k] = log(1 + g^k):
 a + b = a * (1 + b/a) is one lookup each in log, zech and exp, and
 -a = g^((size-1)/2) * a.  Characteristic 2 adds by XOR of encodings.
-The Frobenius table of the top field is read off the log tables,
-log(x^q) = q * log(x), and the Zech table raises the lowest base-p digit
-of each exp entry; both are chains of maps over the tables, with no
-Python step per element.  The trace is F_q-linear, so its table grows
+The Frobenius table of the top field and the Zech table are each one
+loop over strided slices of the tables, read in order: multiplying an
+exponent by q modulo q^n - 1 rotates its base-q digits, so the q-th
+powers of g^0, g^1, ... are exp at stride q, and adding 1 steps an
+encoding's lowest base-p digit, so zech[log x] = log(x + 1) pairs
+slices of log at stride p.  The trace is F_q-linear, so its table grows
 block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k), from the n
 conjugate sums Tr(v^k), each block one map over the table so far.  Every
 table is built without a second list of its size beside it.  A tower of
@@ -80,6 +83,10 @@ DEFAULT_SIZE_BUDGET = 1 << 24
 # RSS over a run of builds, 37-entry ones did not.
 _MAX_CHUNK = 256
 
+# Most entries in one piece of a strided slice (_strided).
+_MAX_SLICE = 4096
+
+
 class _Sized:
     """Items with a known count, so that list() or list.extend() sizes
     the table once.  A table grown item by item is moved as it grows,
@@ -96,6 +103,16 @@ class _Sized:
 
     def __length_hint__(self):
         return self._count
+
+
+def _strided(table, start, stop, stride):
+    """table[start:stop:stride] as an iterator over slices of at most
+    _MAX_SLICE entries.  A whole slice at stride 2 or 3 would hold half
+    or a third of the table's references at once, and once freed, that
+    memory stays with the process."""
+    step = stride * _MAX_SLICE
+    return chain.from_iterable(table[lo:min(lo + step, stop):stride]
+                               for lo in range(start, stop, step))
 
 
 class _PrimeField:
@@ -288,13 +305,25 @@ class _ExtField:
             self._exp = [1, 1]
             self._log = [None, 0]
             return
-        s, d = self.ground.size, self.degree
-        prime_parts = [order // f for f in _factor_int(order)]
+        ground, s, d = self.ground, self.ground.size, self.degree
+        primes = _factor_int(order)
+        # g^(order/r) = N^((s - 1)/r) for a prime r of s - 1, with
+        # N = g^c, c = order/(s - 1), in the ground: one power of a
+        # candidate, tested in the ground (the prime field keeps no
+        # tables; Python's pow is its power), then one per other prime.
+        ground_parts = [(s - 1) // r for r in primes if (s - 1) % r == 0]
+        primes = [r for r in primes if (s - 1) % r]
+        ground_pow = (ground.pow if isinstance(ground, _ExtField)
+                      else partial(pow, mod=s))
         gen = None
         # A ground element's order divides s - 1, so below s no candidate
         # can generate unless the field is its ground (d = 1).
         for cand in range(s if d > 1 else 2, self.size):
-            if all(self._raw_pow(cand, e) != 1 for e in prime_parts):
+            if ground_parts:
+                norm = self._raw_pow(cand, order // (s - 1))
+                if any(ground_pow(norm, e) == 1 for e in ground_parts):
+                    continue
+            if all(self._raw_pow(cand, order // r) != 1 for r in primes):
                 gen = cand
                 break
         if gen is None:
@@ -421,18 +450,22 @@ class _ExtField:
         """zech[k] = log(1 + g^k), None where 1 + g^k = 0.
 
         The lowest base-p digit of an encoding is the constant term's
-        prime-field coefficient at every level, so adding 1 touches only
-        that digit.  -1 = g^((size-1)/2) in odd characteristic.
+        prime-field coefficient at every level.  Adding 1 steps only that
+        digit, p - 1 wrapping to 0, so for each digit t, log at stride p
+        from t pairs with log at stride p from t's successor; x = 0,
+        which has no log, is skipped.  -1 = g^((size-1)/2) in odd
+        characteristic.
         """
-        p, order = self.char, self.size - 1
-        exp, log = self._exp, self._log
-        # x + bump[x % p] raises that digit, p - 1 wrapping to 0.
-        bump = [1] * (p - 1) + [1 - p]
-        self._zech = list(_Sized(map(log.__getitem__, map(
-            add, islice(exp, order),
-            map(bump.__getitem__, map(mod, islice(exp, order), repeat(p))))),
-            order))
-        self._half = order // 2
+        p, size, log = self.char, self.size, self._log
+        zech = [None] * (size - 1)
+        for t in range(p):
+            start = t or p
+            nxt = start + 1 if t < p - 1 else 0
+            for k, z in zip(_strided(log, start, size, p),
+                            _strided(log, nxt, size, p)):
+                zech[k] = z
+        self._zech = zech
+        self._half = (size - 1) // 2
 
     # Digit conversions.
 
@@ -488,6 +521,8 @@ class _ExtField:
         return self._exp[self.size - 1 - self._log[a]]
 
     def pow(self, a, e):
+        if type(e) is not int:
+            raise OutOfRange(f"power {e!r} is not an int")
         if a == 0:
             if e == 0:
                 return 1
@@ -616,12 +651,21 @@ class FieldTower:
         self._build_trace()
 
     def _build_frobenius(self):
-        """The permutation table of x -> x^q, from log(x^q) = q * log(x).
-        Its entries are the exp table's int objects, not new ones."""
-        exp, log, order = self.top._exp, self.top._log, self.size - 1
-        self.frob_table = list(_Sized(chain((0,), map(exp.__getitem__, map(
-            mod, map(mul, islice(log, 1, None), repeat(self.q)),
-            repeat(order)))), self.size))
+        """The permutation table of x -> x^q, walked in exponent order.
+
+        Multiplying by q mod q^n - 1 rotates base-q digits: for
+        i = a * q^(n-1) + r, (g^i)^q = g^(a + r * q).  So the images of
+        g^0, g^1, ..., g^(q^n - 1) = 1 are the q slices
+        exp[a:a + q^n:q] one after another, each q^(n-1) long, and one
+        loop writes frob[g^i] = image.  Its entries are the exp table's
+        int objects, not new ones."""
+        exp, q, size = self.top._exp, self.q, self.size
+        frob = [0] * size
+        images = chain.from_iterable(_strided(exp, a, a + size, q)
+                                     for a in range(q))
+        for x, y in zip(exp, images):
+            frob[x] = y
+        self.frob_table = frob
 
     def _build_trace(self):
         """Tr is F_q-linear: the entry for x = rest + a * v^k, rest < q^k,
