@@ -15,7 +15,6 @@ from .bivariate import (
     count_offdiag_points,
     eval_poly,
     norm_poly,
-    trace_poly,
     weil_holds,
     weil_threshold,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "run_battery",
     "run_suite",
     "trace_decompose",
-    "trace_poly",
     "weil_holds",
     "weil_threshold",
 ]

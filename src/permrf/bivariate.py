@@ -4,25 +4,28 @@ Polynomials in X and Y over the top field are stored as rectangular
 coefficient grids, grid[i][j] holding the encoding of the X^i Y^j
 coefficient, trimmed so the last row and column are nonzero.  The maps
 under test leave F_q-rational points of these grids in correspondence
-with failing pairs of the criteria:
+with failing pairs of the criteria.  For w = (x0+b)(y0+b),
+N(w) Tr(c/w) = Tr(c^(q^(n-1)) w w^q ... w^(q^(n-2))), so every curve is
+one formula:
 
-  two_variable_curve (degree 2)   N((X+b)(Y+b)) - Tr(c^q (X+b)(Y+b))
-  two_variable_curve (degree 3)   N((X+b)(Y+b))
-                                  - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q))
-  kernel curve (degree 3)         the trace part alone
+  f = P(X) P(Y) - Tr(c^(q^(n-1)) Q(X) Q(Y)),
+  P(T) = prod_{i<n} (T + b^(q^i)),  Q(T) = prod_{i<n-1} (T + b^(q^i)),
 
-At points of F_q x F_q each curve evaluates to N(w) (1 - Tr(c/w)) with
-w = (x0+b)(y0+b), except the kernel curve which gives N(w) Tr(c/w), so
-off-diagonal zeros are exactly the pairwise (resp. kernel) witnesses.
+with the trace taken coefficient by coefficient: build_f2 at n = 2,
+build_f3 at n = 3, and build_f3_kernel the trace part alone.  At points
+of F_q x F_q each curve evaluates to N(w) (1 - Tr(c/w)), the kernel
+curve to N(w) Tr(c/w), so off-diagonal zeros are exactly the pairwise
+(resp. kernel) witnesses.
 
 conjugate_factor_search looks for a monic bilinear g = XY + beta X
 + gamma Y + delta with f = g * sigma(g) * ... * sigma^(n-1)(g), pruning
-candidates through coefficients of f before any full product: the
-top-edge column f[n][n-j] lists the elementary symmetric functions of the
-conjugates of beta, the right edge those of gamma, and f[0][0] is the
-norm of delta, whose fiber is read off the log table (N(g^k) = g^(k e)
-with e = (q^n - 1)/(q - 1)).  Three more coefficients filter delta per
-(beta, gamma):
+candidates through coefficients of f before any full product.  The top
+row f[n] is the coefficient list of prod (Y + beta^(q^i)), so beta lies
+in the norm fiber over f[n][0], has trace f[n][n-1], and its conjugate
+product is that row; gamma is read off the right column f[.][n] the
+same way.  f[0][0] is the norm of delta, whose fiber is read off the
+log table (N(g^k) = g^(k e) with e = (q^n - 1)/(q - 1)).  Three more
+coefficients filter delta per (beta, gamma):
   f[n-1][n-1] = Tr(delta) + Tr(beta) Tr(gamma) - Tr(beta gamma)
   f[1][0]     = N(delta) Tr(beta/delta)
   f[0][1]     = N(delta) Tr(gamma/delta)
@@ -35,7 +38,6 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DegreeTooSmall, UnsupportedDegree, UsageError, WrongDegree
 from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc, _power,
@@ -47,7 +49,7 @@ def _trim(grid):
     while rows > 1 and not any(grid[rows - 1]):
         rows -= 1
     grid = grid[:rows]
-    cols = len(grid[0]) if rows else 0
+    cols = len(grid[0])
     while cols > 1 and not any(row[cols - 1] for row in grid):
         cols -= 1
     return tuple(tuple(row[:cols]) for row in grid)
@@ -59,7 +61,17 @@ class BivarPoly:
     grid: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", _trim(self.grid))
+        """Refuse a grid that is empty or ragged, or holds an entry that
+        is not a top encoding."""
+        grid = self.grid
+        if not grid or not grid[0] or any(len(row) != len(grid[0])
+                                          for row in grid):
+            raise UsageError(f"grid {grid!r} is not rows of one nonzero "
+                             f"length")
+        for row in grid:
+            for a in row:
+                _check_enc(self.tower, a, "coefficient")
+        object.__setattr__(self, "grid", _trim(grid))
 
     @property
     def bidegree(self):
@@ -96,29 +108,6 @@ def bilinear(tower, xy, x, y, const):
     return BivarPoly(tower, ((const, y), (x, xy)))
 
 
-def add(f, g):
-    top = f.tower.top
-    rows = max(len(f.grid), len(g.grid))
-    cols = max(len(f.grid[0]), len(g.grid[0]))
-    out = [[top.add(f.coeff(i, j), g.coeff(i, j)) for j in range(cols)]
-           for i in range(rows)]
-    return BivarPoly(f.tower, out)
-
-
-def neg(f):
-    top = f.tower.top
-    return BivarPoly(f.tower, [[top.neg(x) for x in row] for row in f.grid])
-
-
-def sub(f, g):
-    return add(f, neg(g))
-
-
-def scalar_mul(f, a):
-    top = f.tower.top
-    return BivarPoly(f.tower, [[top.mul(a, x) for x in row] for row in f.grid])
-
-
 def mul(f, g):
     top = f.tower.top
     fr, fc = len(f.grid), len(f.grid[0])
@@ -151,12 +140,6 @@ def norm_poly(f):
     return out
 
 
-def trace_poly(f):
-    """Sum of sigma^i(f) over i < n: the trace of every coefficient."""
-    trace = f.tower.trace_table
-    return BivarPoly(f.tower, [[trace[x] for x in row] for row in f.grid])
-
-
 def eval_poly(f, x, y):
     _check_enc(f.tower, x, "x")
     _check_enc(f.tower, y, "y")
@@ -170,38 +153,42 @@ def eval_poly(f, x, y):
     return acc
 
 
-def _shifted_product(tower, b):
-    """(X + b)(Y + b) as a grid."""
-    bsq = tower.top.mul(b, b)
-    return bilinear(tower, 1, b, b, bsq)
+def _conjugate_product(tower, a, k):
+    """Ascending coefficients of (T + a)(T + a^q)...(T + a^(q^(k-1)))."""
+    top, frob = tower.top, tower.frob_table
+    coeffs = [1]
+    for _ in range(k):
+        coeffs = [top.add(lo, top.mul(a, hi))
+                  for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        a = frob[a]
+    return coeffs
+
+
+def _curve(tower, b, c, n, with_norm):
+    """P(X) P(Y) - Tr(c^(q^(n-1)) Q(X) Q(Y)), or the trace part alone,
+    with P and Q the products of T + b^(q^i) over i < n and i < n - 1."""
+    if tower.n != n:
+        raise UnsupportedDegree(f"this curve is specific to degree {n}")
+    _check_bc(tower, b, c)
+    top, trace = tower.top, tower.trace_table
+    a = tower.frob_enc(c, n - 1)
+    qs = _conjugate_product(tower, b, n - 1) + [0]
+    grid = [[trace[top.mul(top.mul(a, x), y)] for y in qs] for x in qs]
+    if with_norm:
+        ps = _conjugate_product(tower, b, n)
+        grid = [[top.sub(top.mul(x, y), t) for y, t in zip(ps, row)]
+                for x, row in zip(ps, grid)]
+    return BivarPoly(tower, grid)
 
 
 def build_f2(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^q (X+b)(Y+b)); bidegree (2, 2)."""
-    if tower.n != 2:
-        raise UnsupportedDegree("this curve is specific to degree 2")
-    _check_bc(tower, b, c)
-    w = _shifted_product(tower, b)
-    cq = tower.frob_enc(c)
-    return sub(norm_poly(w), trace_poly(scalar_mul(w, cq))).expect_bidegree(2, 2)
-
-
-def _quartic_product(tower, b):
-    """(X+b)(X+b^q)(Y+b)(Y+b^q) as a grid."""
-    top = tower.top
-    bq = tower.frob_enc(b)
-    s = top.add(b, bq)
-    p = top.mul(b, bq)
-    u = ((p,), (s,), (1,))
-    z = ((p, s, 1),)
-    return mul(BivarPoly(tower, u), BivarPoly(tower, z))
+    return _curve(tower, b, c, 2, True).expect_bidegree(2, 2)
 
 
 def build_f3(tower, b, c):
     """N((X+b)(Y+b)) - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); bidegree (3, 3)."""
-    kern = build_f3_kernel(tower, b, c)
-    return sub(norm_poly(_shifted_product(tower, b)),
-               kern).expect_bidegree(3, 3)
+    return _curve(tower, b, c, 3, True).expect_bidegree(3, 3)
 
 
 def build_f3_kernel(tower, b, c):
@@ -211,12 +198,7 @@ def build_f3_kernel(tower, b, c):
     column reads Tr(c^(q^2) b^(q+1)), Tr(c^(q^2) (b + b^q)), Tr(c^(q^2)),
     which cannot all vanish for nonzero c.
     """
-    if tower.n != 3:
-        raise UnsupportedDegree("this curve is specific to degree 3")
-    _check_bc(tower, b, c)
-    cqq = tower.frob_enc(c, 2)
-    kern = trace_poly(scalar_mul(_quartic_product(tower, b), cqq))
-    return kern.expect_bidegree(2, 2)
+    return _curve(tower, b, c, 3, False).expect_bidegree(2, 2)
 
 
 def count_offdiag_points(f):
@@ -228,27 +210,6 @@ def count_offdiag_points(f):
             if x0 != y0 and eval_poly(f, x0, y0) == 0:
                 count += 1
     return count
-
-
-@lru_cache(maxsize=2)
-def _charpoly_roots(tower, edge):
-    """Ascending roots of T^n + sum_j (-1)^j edge[j-1] T^(n-j), edge[j-1]
-    = e_j, by a field scan.  Memoised: the edges of build_f2 depend on b
-    only, so a sweep over c scans once per b."""
-    top = tower.top
-    coeffs = [1]
-    sign = 1
-    for e in edge:
-        sign = -1 if sign == 1 else 1
-        coeffs.append(top.neg(e) if sign == -1 else e)
-    roots = []
-    for t in range(tower.size):
-        acc = 0
-        for a in coeffs:
-            acc = top.add(top.mul(acc, t), a)
-        if acc == 0:
-            roots.append(t)
-    return tuple(roots)
 
 
 def _norm_fiber(tower, t):
@@ -266,15 +227,25 @@ def _norm_fiber(tower, t):
     return sorted(exp[i] for i in range(k, order, tower.q - 1))
 
 
+def _edge_roots(tower, edge):
+    """Ascending x with prod sigma^i(T + x) = edge, ascending coefficients:
+    such an x lies in the norm fiber over edge[0] and has trace
+    edge[n-1]."""
+    n = tower.n
+    return [x for x in _norm_fiber(tower, edge[0])
+            if tower.trace_table[x] == edge[n - 1]
+            and _conjugate_product(tower, x, n) == edge]
+
+
 def conjugate_factor_search(f):
     """First (beta, gamma, delta) with f = prod sigma^i(XY + beta X + gamma Y
     + delta), or None.
 
     Requires the X^n Y^n coefficient to be 1.  Candidates for beta and
-    gamma are the roots of the charpoly read off the grid edges, delta
-    runs through the norm fiber over f[0][0] (read off the log table),
-    and for each (beta, gamma) only the delta passing three coefficient
-    filters are checked by a full product: Tr(delta) = f[n-1][n-1]
+    gamma are read off the grid edges by _edge_roots, delta runs through
+    the norm fiber over f[0][0] (read off the log table), and for each
+    (beta, gamma) only the delta passing three coefficient filters are
+    checked by a full product: Tr(delta) = f[n-1][n-1]
     - Tr(beta) Tr(gamma) + Tr(beta gamma), and for delta != 0,
     Tr(beta/delta) = f[1][0]/f[0][0] and Tr(gamma/delta) = f[0][1]/f[0][0].
     The first verified triple in ascending (beta, gamma, delta) order
@@ -287,8 +258,10 @@ def conjugate_factor_search(f):
     if f.coeff(n, n) != 1:
         return None
     top, trace = tower.top, tower.trace_table
-    betas = _charpoly_roots(tower, tuple(f.coeff(n, n - j) for j in range(1, n + 1)))
-    gammas = _charpoly_roots(tower, tuple(f.coeff(n - j, n) for j in range(1, n + 1)))
+    row = [f.coeff(n, j) for j in range(n + 1)]
+    col = [f.coeff(i, n) for i in range(n + 1)]
+    betas = _edge_roots(tower, row)
+    gammas = betas if col == row else _edge_roots(tower, col)
     norm_target = f.coeff(0, 0)
     deltas = _norm_fiber(tower, norm_target)
     if norm_target:
@@ -314,25 +287,31 @@ def conjugate_factor_search(f):
     return None
 
 
+def _check_weil_args(**args):
+    """Refuse arguments that are not ints, 9.0 answering as 9 and True as
+    1, then a degree d below 2."""
+    bad = ", ".join(f"{k}={v!r}" for k, v in args.items()
+                    if type(v) is not int)
+    if bad:
+        raise UsageError(f"Weil arguments must be ints, not {bad}")
+    if args["d"] < 2:
+        raise DegreeTooSmall(f"degree {args['d']} has no smooth model to bound")
+
+
 def weil_threshold(d):
     """The sqrt(q) value above which the point-count gate opens.
 
     Positive root of s^2 - (d-1)(d-2)s - (2d-1); informational only,
     the gate itself never touches floats.
     """
-    if d < 2:
-        raise DegreeTooSmall(f"degree {d} has no smooth model to bound")
+    _check_weil_args(d=d)
     a = (d - 1) * (d - 2)
     return (a + math.sqrt(a * a + 4 * (2 * d - 1))) / 2
 
 
 def weil_holds(q, d):
-    """Whether q + 1 - (d-1)(d-2) sqrt(q) - 2d > 0, in exact integers.
-    q and d must be ints: 9.0 would answer as 9, and True as 1."""
-    if type(q) is not int or type(d) is not int:
-        raise UsageError(f"q and d must be ints, not q={q!r}, d={d!r}")
-    if d < 2:
-        raise DegreeTooSmall(f"degree {d} has no smooth model to bound")
+    """Whether q + 1 - (d-1)(d-2) sqrt(q) - 2d > 0, in exact integers."""
+    _check_weil_args(q=q, d=d)
     margin = q - 2 * d + 1
     if margin <= 0:
         return False

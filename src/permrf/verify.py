@@ -412,8 +412,9 @@ def _plan_lemma_basis(q, p, m, mode, seed, budget, samples):
            _jobs_per_b(_case_lemma_basis, tower))
 
 
-# Grid identities: at the closed form the curves split into conjugate
-# bilinear factors, and for degree 2 only there.
+# Grid identities: at the closed form the curves split into their named
+# conjugate bilinear factors; for degree 2 and q <= 4, no other c gives a
+# conjugate bilinear factorization.
 
 def _case_factorizations(tower, b):
     top = tower.top

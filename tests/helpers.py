@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from permrf import make_tower
-from permrf.bivariate import bilinear, norm_poly
+from permrf.bivariate import BivarPoly, bilinear, mul, norm_poly
 
 # Towers small enough for exhaustive loops.
 SMALL_TOWERS = (
@@ -79,3 +79,23 @@ def reference_factor_search(f):
                 if norm_poly(bilinear(tower, 1, beta, gamma, delta)) == f:
                     return (beta, gamma, delta)
     return None
+
+
+def reference_curves(tower, b, c):
+    """The curve N((X+b)(Y+b)) - Tr(c^(q^(n-1)) Q(X) Q(Y)) and its trace
+    part from their definitions, Q(T) = (T+b)(T+b^q)...(T+b^(q^(n-2))):
+    the norm is the product of conjugates by mul and apply_sigma, Q(X) Q(Y)
+    the product of the (X+b^(q^i))(Y+b^(q^i)), and the trace is taken
+    coefficient by coefficient."""
+    top, n = tower.top, tower.n
+    norm = norm_poly(bilinear(tower, 1, b, b, top.mul(b, b)))
+    qq = BivarPoly(tower, ((1,),))
+    for i in range(n - 1):
+        bi = tower.frob_enc(b, i)
+        qq = mul(qq, bilinear(tower, 1, bi, bi, top.mul(bi, bi)))
+    a = tower.frob_enc(c, n - 1)
+    kernel = BivarPoly(tower, [[tower.trace_enc(top.mul(a, v)) for v in row]
+                               for row in qq.grid])
+    curve = BivarPoly(tower, [[top.sub(norm.coeff(i, j), kernel.coeff(i, j))
+                               for j in range(n + 1)] for i in range(n + 1)])
+    return curve, kernel

@@ -19,30 +19,27 @@ from permrf import (
     make_tower,
     norm_poly,
     pairwise_criterion,
-    trace_poly,
     weil_holds,
     weil_threshold,
 )
 from permrf.bivariate import (
     BivarPoly,
     _norm_fiber,
-    add,
     apply_sigma,
     bilinear,
     mul,
-    scalar_mul,
-    sub,
 )
 from permrf.errors import (
     BZero,
     CZero,
     DegreeTooSmall,
+    OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
     UsageError,
     WrongDegree,
 )
-from helpers import prime_powers, reference_factor_search
+from helpers import prime_powers, reference_curves, reference_factor_search
 
 F2_GRID_B3_C1 = ((0, 0, 1), (0, 1, 0), (1, 0, 1))
 F2_GRID_B3_C2 = ((2, 0, 1), (0, 2, 0), (1, 0, 1))
@@ -92,6 +89,32 @@ def test_grid_trimming_and_coeff():
     g = build_f2(t, 3, 1)
     assert g.coeff(2, 2) == 1
     assert g.coeff(9, 9) == 0
+
+
+def test_grid_must_be_rows_of_encodings():
+    t = make_tower(3, 1, 2)
+    # [] raised a bare IndexError in bidegree, 99 evaluated outside F_9,
+    # and ragged rows were taken.
+    for grid in ([], ((),), ((1, 2), (3,)), ((1,), (2, 3))):
+        with pytest.raises(UsageError, match="rows of one nonzero length"):
+            BivarPoly(t, grid)
+    for grid in (((99,),), ((0, 1), (9, 0)), ((-1,),), ((1.0,),)):
+        with pytest.raises(OutOfRange):
+            BivarPoly(t, grid)
+
+
+def test_curves_match_their_definition():
+    for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3),
+                   (3, 1, 3), (2, 2, 3)):
+        t = make_tower(*params)
+        for b in range(t.q, t.size):
+            for c in range(1, t.size):
+                curve, kernel = reference_curves(t, b, c)
+                if t.n == 2:
+                    assert build_f2(t, b, c) == curve
+                else:
+                    assert build_f3(t, b, c) == curve
+                    assert build_f3_kernel(t, b, c) == kernel
 
 
 def test_pretty():
@@ -147,15 +170,6 @@ def test_mul_against_dict_oracle():
         assert product.bidegree == (mi, mj)
 
 
-def test_ring_helpers():
-    t = make_tower(3, 1, 2)
-    f = build_f2(t, 3, 1)
-    assert sub(f, f).grid == ((0,),)
-    assert add(f, sub(BivarPoly(t, ((0,),)), f)).grid == ((0,),)
-    assert scalar_mul(f, 2).grid == tuple(
-        tuple(t.top.mul(2, v) for v in row) for row in f.grid)
-
-
 def test_apply_sigma_is_coefficientwise():
     t = make_tower(3, 1, 2)
     f = bilinear(t, 3, 4, 5, 7)
@@ -165,26 +179,10 @@ def test_apply_sigma_is_coefficientwise():
     assert apply_sigma(s).grid == f.grid
 
 
-def test_norm_and_trace_poly_are_stable():
+def test_norm_poly_is_stable():
     t = make_tower(3, 1, 2)
     f = bilinear(t, 3, 4, 5, 7)
-    for g in (norm_poly(f), trace_poly(f)):
-        assert apply_sigma(g, 1) == g
-
-
-def test_trace_poly_is_sum_of_conjugates():
-    rng = random.Random("permrf:test:trace_poly")
-    for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3),
-                   (3, 1, 3), (2, 2, 3)):
-        t = make_tower(*params)
-        for _ in range(10):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            f = BivarPoly(t, [[rng.randrange(t.size) for _ in range(cols)]
-                              for _ in range(rows)])
-            expected = f
-            for i in range(1, t.n):
-                expected = add(expected, apply_sigma(f, i))
-            assert trace_poly(f) == expected
+    assert apply_sigma(norm_poly(f), 1) == norm_poly(f)
 
 
 def test_eval_poly():
@@ -373,6 +371,10 @@ def test_weil_holds_refuses_non_int_arguments():
         with pytest.raises(UsageError, match="must be ints"):
             weil_holds(q, d)
     assert weil_holds(53, 4)
+    # weil_threshold("3") raised a bare TypeError, and 2.5 answered 2.41.
+    for d in ("3", 2.5, 4.0, True):
+        with pytest.raises(UsageError, match="must be ints"):
+            weil_threshold(d)
 
 
 def test_weil_frozen_values():

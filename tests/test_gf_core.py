@@ -425,6 +425,28 @@ def test_cold_build_transient_memory(params):
     assert kept - before > 8 * 5 * t.size
 
 
+@pytest.mark.parametrize("params, rebuild", [
+    ((2, 1, 16), lambda t: t._build_frobenius()),
+    ((3, 5, 2), lambda t: t.top._build_zech()),
+])
+def test_table_rebuild_transient_memory(params, rebuild):
+    """Rebuilding the Frobenius table at q = 2 (stride-2 slices of exp)
+    or the Zech table at p = 3 (stride-3 slices of log) holds the new
+    table, 8 B per element, and slices of at most _MAX_SLICE entries:
+    about 8.5 and 9.1 B per element in all.  Whole slices read 12.0 and
+    13.4.  A cold build cannot show this, as the trace table, built
+    after both, sets its peak."""
+    t = make_tower(*params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rebuild(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 10 * t.size
+
+
 def test_norm_equals_conjugate_product():
     for params in SMALL_TOWERS:
         t = make_tower(*params)

@@ -18,21 +18,27 @@ ROOT = Path(__file__).resolve().parent.parent
 # frob_enc, trace_rel_enc, trace_enc, norm_enc, in_subfield_enc and
 # top.inv, and the Element wrapper around the integer encodings every
 # function takes; or the degree 2 twist, which no report checked; or
-# the matrix-to-coefficients route that invert_lin no longer takes.
+# the matrix-to-coefficients route that invert_lin no longer takes; or
+# the coefficient-wise trace, which the curves now take inline.
 DROPPED = ("frobenius", "trace_rel", "trace", "norm", "invert",
            "is_in_subfield", "Element", "TwistedForm", "remark2_transform",
-           "eval_twisted", "is_permutation_twisted", "from_matrix")
+           "eval_twisted", "is_permutation_twisted", "from_matrix",
+           "trace_poly")
 
 # Reached by nothing but tests: the LinearizedPoly and BivarPoly
 # constructors, eval_enc, apply_sigma(f, 1) == f, tower.top, tower.mid,
 # tower.base and range(tower.size) do each job; the prime field's neg and
-# pow, and the text of a linear map, had no job.
+# pow, and the text of a linear map, had no job.  The grid sums and
+# products the curves were built from, and the field scan and memo behind
+# the factor search, gave way to one conjugate product.
 DROPPED_ATTRS = (
     (linmaps, ("from_matrix",)),
     (linmaps.LinearizedPoly, ("zero", "scaling", "frobenius_power",
                               "__call__", "pretty")),
     (gf_core._PrimeField, ("neg", "pow")),
-    (bivariate, ("constant",)),
+    (bivariate, ("constant", "add", "neg", "sub", "scalar_mul",
+                 "trace_poly", "_charpoly_roots", "_shifted_product",
+                 "_quartic_product")),
     (bivariate.BivarPoly, ("is_fq_stable",)),
     (permrf.FieldTower, ("ops", "elements")),
 )
