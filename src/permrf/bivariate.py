@@ -39,7 +39,8 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegreeTooSmall, UnsupportedDegree, UsageError, WrongDegree
+from .errors import (DegreeTooSmall, LevelMismatch, UnsupportedDegree,
+                     UsageError, WrongDegree)
 from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc, _power,
                       _render_terms)
 
@@ -61,11 +62,13 @@ class BivarPoly:
     grid: tuple
 
     def __post_init__(self):
-        """Refuse a grid that is empty or ragged, or holds an entry that
-        is not a top encoding."""
+        """Refuse a grid that is not rows, is empty or ragged, or holds an
+        entry that is not a top encoding."""
         grid = self.grid
-        if not grid or not grid[0] or any(len(row) != len(grid[0])
-                                          for row in grid):
+        if (not isinstance(grid, (tuple, list)) or not grid
+                or not all(isinstance(row, (tuple, list)) for row in grid)
+                or not grid[0]
+                or any(len(row) != len(grid[0]) for row in grid)):
             raise UsageError(f"grid {grid!r} is not rows of one nonzero "
                              f"length")
         for row in grid:
@@ -109,6 +112,8 @@ def bilinear(tower, xy, x, y, const):
 
 
 def mul(f, g):
+    if f.tower is not g.tower:
+        raise LevelMismatch("factors are built on different towers")
     top = f.tower.top
     fr, fc = len(f.grid), len(f.grid[0])
     gr, gc = len(g.grid), len(g.grid[0])

@@ -8,6 +8,7 @@ on stderr with exit code 2; a failing assertive suite exits 1.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -360,9 +361,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser main uses: built on main's first call, not at import,
+    and kept for the process, so the suite names offered to --suite are
+    those of verify.SUITES at that call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if "workers" in args and args.workers < 1:
             raise UsageError(f"--workers must be at least 1, not {args.workers}")

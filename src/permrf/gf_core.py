@@ -46,7 +46,9 @@ powers of g^0, g^1, ... are exp at stride q, and adding 1 steps an
 encoding's lowest base-p digit, so zech[log x] = log(x + 1) pairs
 slices of log at stride p.  The trace is F_q-linear, so its table grows
 block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k), from the n
-conjugate sums Tr(v^k), each block one map over the table so far.  Every
+conjugate sums Tr(v^k): each block is an earlier one read through a row
+of q middle-field ints, y -> y + u^j Tr(v^k), so the table shares the
+middle field's int objects in either characteristic.  Every
 table is built without a second list of its size beside it.  A tower of
 size q^n costs O(q^n) time and memory; make_tower refuses to build
 towers larger than the size budget.
@@ -106,11 +108,14 @@ class _Sized:
 
 
 def _strided(table, start, stop, stride):
-    """table[start:stop:stride] as an iterator over slices of at most
-    _MAX_SLICE entries.  A whole slice at stride 2 or 3 would hold half
-    or a third of the table's references at once, and once freed, that
-    memory stays with the process."""
+    """table[start:stop:stride] in slices of at most _MAX_SLICE entries:
+    the slice itself when it is that short, else an iterator over them.
+    A whole slice at stride 2 or 3 would hold half or a third of the
+    table's references at once, and once freed, that memory stays with
+    the process."""
     step = stride * _MAX_SLICE
+    if stop - start <= step:
+        return table[start:stop:stride]
     return chain.from_iterable(table[lo:min(lo + step, stop):stride]
                                for lo in range(start, stop, step))
 
@@ -669,10 +674,16 @@ class FieldTower:
 
     def _build_trace(self):
         """Tr is F_q-linear: the entry for x = rest + a * v^k, rest < q^k,
-        is Tr(rest) + a * Tr(v^k), so the table grows by one map over its
-        first q^k entries per (k, a), from the traces of v^k, each a sum
-        of conjugates."""
-        frob, q, top, mid = self.frob_table, self.q, self.top, self.mid
+        is Tr(rest) + a * Tr(v^k), from the traces of v^k, each a sum of
+        conjugates.  With p^j the largest power of p dividing a, a is
+        (a - p^j) + u^j, so the block of q^k entries for (k, a) is the
+        block for (k, a - p^j) read through the q-entry row
+        y -> y + u^j * Tr(v^k): m rows per k, one lookup per entry.  The
+        rows hold the middle field's own int objects, so the table holds
+        at most q distinct ints; XOR, the sum in characteristic 2, makes
+        a new one per entry above 256."""
+        frob, p, q = self.frob_table, self.p, self.q
+        top, mid = self.top, self.mid
         traces = []
         for k in range(self.n):
             tr_vk = t = q ** k
@@ -680,12 +691,27 @@ class FieldTower:
                 t = frob[t]
                 tr_vk = top.add(tr_vk, t)
             traces.append(tr_vk)
+        canon = [0, *map(mid._exp.__getitem__, islice(mid._log, 1, q))]
+        steps = [p ** j for j in range(self.m)]
+
+        def blocks():
+            for k, tr_vk in enumerate(traces):
+                width = q ** k
+                rows = {}
+                for step in steps:
+                    sums = map(mid.add, range(q), repeat(mid.mul(step, tr_vk)))
+                    rows[step] = list(map(canon.__getitem__, sums))
+                for a in range(1, q):
+                    step = 1
+                    while a % (step * p) == 0:
+                        step *= p
+                    # The block for (k, a - step) is already in the table.
+                    lo = (a - step) * width
+                    yield map(rows[step].__getitem__,
+                              _strided(table, lo, lo + width, 1))
+
         table = [0]
-        # Each block is made once the blocks before it are in the table.
-        table.extend(_Sized(chain.from_iterable(
-            map(mid.add, islice(table, q ** k), repeat(mid.mul(a, tr_vk)))
-            for k, tr_vk in enumerate(traces) for a in range(1, q)),
-            self.size - 1))
+        table.extend(_Sized(chain.from_iterable(blocks()), self.size - 1))
         self.trace_table = table
 
     def __reduce__(self):

@@ -33,6 +33,7 @@ from permrf.errors import (
     BZero,
     CZero,
     DegreeTooSmall,
+    LevelMismatch,
     OutOfRange,
     SizeBudgetExceeded,
     UnsupportedDegree,
@@ -94,8 +95,10 @@ def test_grid_trimming_and_coeff():
 def test_grid_must_be_rows_of_encodings():
     t = make_tower(3, 1, 2)
     # [] raised a bare IndexError in bidegree, 99 evaluated outside F_9,
-    # and ragged rows were taken.
-    for grid in ([], ((),), ((1, 2), (3,)), ((1,), (2, 3))):
+    # ragged rows were taken, and a grid of ints or an int raised a bare
+    # TypeError.
+    for grid in ([], ((),), ((1, 2), (3,)), ((1,), (2, 3)), (1, 2), 5,
+                 ((1, 2), 3)):
         with pytest.raises(UsageError, match="rows of one nonzero length"):
             BivarPoly(t, grid)
     for grid in (((99,),), ((0, 1), (9, 0)), ((-1,),), ((1.0,),)):
@@ -144,6 +147,16 @@ def test_symmetry_and_stability():
     assert build_f3(t3, 2, 5).is_symmetric()
     kernel_curve = build_f3_kernel(t3, 2, 5)
     assert apply_sigma(kernel_curve, 1) == kernel_curve
+
+
+def test_mul_refuses_factors_from_two_towers():
+    # F_8 encodings were read as F_9 elements: the product came out as
+    # ((1, 2, 1), (2, 5, 3), (1, 3, 1)) on 3:2.
+    t, u = make_tower(3, 1, 2), make_tower(2, 1, 3)
+    with pytest.raises(LevelMismatch):
+        mul(bilinear(t, 1, 8, 8, 8), bilinear(u, 1, 7, 7, 7))
+    assert mul(bilinear(t, 1, 0, 0, 0), bilinear(t, 1, 0, 0, 0)).grid == (
+        (0, 0, 0), (0, 0, 0), (0, 0, 1))
 
 
 def test_mul_against_dict_oracle():

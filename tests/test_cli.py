@@ -350,6 +350,85 @@ def test_verify_help_names_every_mode(capsys, monkeypatch):
             assert f"{name}: {'|'.join(suite.modes)}" in help_text
 
 
+def test_import_builds_no_parser():
+    """Importing permrf.cli builds no parser, so every import stays as
+    cheap as before; main builds one on its first call."""
+    code = "\n".join((
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(1)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import permrf.cli",
+        "print(len(built), permrf.cli._parser.cache_info().currsize)",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for degree in ("4", "5", "6"):
+            assert run_cli(capsys, "weil", "--degree", degree)[0] == 0
+        assert run_cli(capsys, "field", "--field", "junk")[0] == 2
+        with pytest.raises(SystemExit):
+            cli.main(["nonesuch"])
+        capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+# A success, a parse error, help, an error-free check and a verify run,
+# in one process: each answers as a freshly built parser does.
+PARSER_STEPS = (
+    ("field", "--field", "3:2"),
+    ("check", "--field", "3:2", "--b", "three", "--c", "1"),
+    ("verify", "--help"),
+    ("check", "--field", "3:2", "--b", "3", "--c", "2", "--method",
+     "pairwise"),
+    ("verify", "--suite", "corollary", "--q", "2", "--workers", "1"),
+)
+
+
+def run_steps(capsys, steps):
+    results = []
+    for argv in steps:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_kept_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    cli._parser.cache_clear()
+    kept = run_steps(capsys, PARSER_STEPS)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_steps(capsys, PARSER_STEPS)
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [
+        0, "SystemExit 2", "SystemExit 0", 0, 0]
+    assert "--suite" in kept[2][1]
+    assert json.loads(kept[3][1])["witness"] == [0, 1]
+
+
 def test_budget_env_and_flag(capsys, monkeypatch):
     """--budget is the one way to set the budget; the environment has no say."""
     monkeypatch.setenv("PERMRF_BUDGET", "junk")

@@ -389,6 +389,16 @@ def test_trace_table_shares_the_middle_fields_int_objects():
     assert len({id(x) for x in t.trace_table}) <= t.q
 
 
+def test_char2_trace_table_shares_the_middle_fields_int_objects():
+    """In characteristic 2 the middle field adds by XOR, which makes a new
+    int per sum above 256.  The trace table reads its blocks through rows
+    of the middle field's own ints, so 2^9:2, the smallest such tower with
+    q > 256, keeps at most q distinct ints; summing each entry by XOR kept
+    130,817."""
+    t = make_tower(2, 9, 2)
+    assert len({id(x) for x in t.trace_table}) <= t.q
+
+
 def test_generator_search_skips_the_ground(monkeypatch):
     """A ground element's order divides s - 1, so an extension of degree
     d > 1 tries no candidate below s; a degree-1 field starts at 2."""
