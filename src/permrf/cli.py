@@ -365,7 +365,9 @@ def build_parser():
 def _parser():
     """The parser main uses: built on main's first call, not at import,
     and kept for the process, so the suite names offered to --suite are
-    those of verify.SUITES at that call."""
+    those of verify.SUITES at that call.  Only a caller that runs main
+    more than once per process saves anything; a console command runs
+    it once."""
     return build_parser()
 
 

@@ -108,14 +108,11 @@ class _Sized:
 
 
 def _strided(table, start, stop, stride):
-    """table[start:stop:stride] in slices of at most _MAX_SLICE entries:
-    the slice itself when it is that short, else an iterator over them.
-    A whole slice at stride 2 or 3 would hold half or a third of the
-    table's references at once, and once freed, that memory stays with
-    the process."""
+    """table[start:stop:stride] as an iterator over slices of at most
+    _MAX_SLICE entries.  A whole slice at stride 2 or 3 would hold half
+    or a third of the table's references at once, and once freed, that
+    memory stays with the process."""
     step = stride * _MAX_SLICE
-    if stop - start <= step:
-        return table[start:stop:stride]
     return chain.from_iterable(table[lo:min(lo + step, stop):stride]
                                for lo in range(start, stop, step))
 
@@ -680,8 +677,7 @@ class FieldTower:
         block for (k, a - p^j) read through the q-entry row
         y -> y + u^j * Tr(v^k): m rows per k, one lookup per entry.  The
         rows hold the middle field's own int objects, so the table holds
-        at most q distinct ints; XOR, the sum in characteristic 2, makes
-        a new one per entry above 256."""
+        at most q distinct ints."""
         frob, p, q = self.frob_table, self.p, self.q
         top, mid = self.top, self.mid
         traces = []
