@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import verify
-from ._pool import map_ordered
+from ._pool import _check_workers, map_ordered
 from .bivariate import (
     build_f2,
     build_f3,
@@ -374,8 +374,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if "workers" in args and args.workers < 1:
-            raise UsageError(f"--workers must be at least 1, not {args.workers}")
+        if "workers" in args:
+            _check_workers(args.workers)
         payload, code = args.fn(args)
     except PermRFError as err:
         json.dump({"error": type(err).__name__, "detail": str(err)},

@@ -17,7 +17,7 @@ a_i^(q^k) at x^(q^k) for k = -i mod n, and trace duals need no solve.
 from dataclasses import dataclass, field
 
 from . import _linalg
-from .errors import NotBijective, OutOfRange
+from .errors import NotBijective, OutOfRange, UsageError
 from .gf_core import FieldTower, _check_enc, dual_basis
 
 
@@ -27,6 +27,9 @@ class LinearizedPoly:
     coeffs: tuple
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, (tuple, list)):
+            raise UsageError(f"coefficients must be a tuple or list of "
+                             f"encodings, not {self.coeffs!r}")
         n = self.tower.n
         folded = [0] * n
         for i, a in enumerate(self.coeffs):

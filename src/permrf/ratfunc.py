@@ -46,18 +46,19 @@ per-(tower, b) memo's b check and logarithms; classify_c never reads or
 builds a row.  The direct and reduced tests do their own field
 arithmetic and touch neither, so they stay independent checks of both.
 
-Direct evaluation visits every element once.  c/(Tr(x) + b) depends on
-x only through Tr(x), so its q values are computed first: q divisions,
-not q^n.  L is additive over the base-q digits of an encoding, so
-x = hi + lo, with hi a multiple of width = q^ceil(n/2) and lo < width,
-has L(x) = L(hi) + L(lo): one table of L(lo) and one evaluation of L(hi)
-per block, about 2*sqrt(q^n) evaluations in all.  Adding L(hi) to the q
-shifts once per block leaves one addition per element.  Characteristic 2
-adds by XOR, in ascending order.  Odd characteristic adds on logarithms,
-log(u + w) = log u + zech[log w - log u]: the shifts and the table of
-L(lo) are kept as logarithms, so an element costs one Zech read and no
-call, and L = x walks x = g^k in exponent order, where log x is k.  The
-rare zero operand or zero sum falls back to top.add.
+Direct evaluation visits every element once, in ascending order.
+c/(Tr(x) + b) depends on x only through Tr(x), so its q values are
+computed first: q divisions, not q^n.  L is additive over the base-q
+digits of an encoding, so x = hi + lo, with hi a multiple of
+width = q^ceil(n/2) and lo < width, has L(x) = L(hi) + L(lo): one row of
+L(lo) and one evaluation of L(hi) per block, about 2*sqrt(q^n)
+evaluations in all; the identity is one block of width q^n, and its row
+is the field itself.  Adding L(hi) to the q shifts once per block leaves
+one addition per element.  Characteristic 2 adds by XOR.  Odd
+characteristic adds on logarithms, log(u + w) = log u + zech[log w - log u]:
+the shifts and the row are kept as logarithms, so an element costs one
+Zech read and no call; a zero operand or zero sum is resolved from the
+other operand's logarithm.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +71,7 @@ from .errors import (
     LevelMismatch,
     NotInSubfield,
     UnsupportedDegree,
+    UsageError,
 )
 from .gf_core import FieldTower, _check_b, _check_bc, _check_budget, _check_enc
 from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
@@ -88,6 +90,8 @@ class RatFuncSpec:
         _check_bc(self.tower, self.b, self.c)
         if self.L is None:
             object.__setattr__(self, "L", LinearizedPoly.identity(self.tower))
+        elif not isinstance(self.L, LinearizedPoly):
+            raise UsageError(f"L must be a LinearizedPoly, not {self.L!r}")
         elif self.L.tower is not self.tower:
             raise LevelMismatch("L is built on another tower")
 
@@ -112,90 +116,74 @@ def eval_rf(spec, x):
 
 def is_permutation_direct(spec):
     """Evaluate the map on every element; True when no value repeats,
-    False at the first repeat.  Characteristic 2 visits the elements in
-    ascending order and adds by XOR; odd characteristic adds in the log
-    domain (see _scan_logs)."""
-    if spec.tower.p == 2:
-        return _scan_xor(spec)
-    return _scan_logs(spec)
-
-
-def _scan_xor(spec):
-    """The characteristic 2 scan: elements in ascending order, sums by
-    XOR of encodings."""
+    False at the first repeat.  The elements are visited in ascending
+    order, in digit blocks of width q^ceil(n/2), or in one block of the
+    whole field when L is the identity.  Characteristic 2 adds by XOR;
+    odd characteristic adds in the log domain (see _scan_logs)."""
     tower = spec.tower
-    top, trace, size = tower.top, tower.trace_table, tower.size
-    add = top.add
-    shift = [top.mul(spec.c, top.inv(add(t, spec.b))) for t in range(tower.q)]
-    seen = bytearray(size)
     if spec.L.is_identity:
-        for x, t in enumerate(trace):
-            y = add(x, shift[t])
-            if seen[y]:
-                return False
-            seen[y] = 1
-        return True
-    lin = spec.L.eval_enc
-    width = tower.q ** -(-tower.n // 2)
-    row = [lin(lo) for lo in range(width)]
+        lin, width = None, tower.size
+    else:
+        lin, width = spec.L.eval_enc, tower.q ** -(-tower.n // 2)
+    scan = _scan_xor if tower.p == 2 else _scan_logs
+    return scan(spec, lin, width)
+
+
+def _scan_xor(spec, lin, width):
+    """The characteristic 2 scan: sums by XOR of encodings.  lin is None
+    for the identity, whose row L(lo) is range(width)."""
+    tower = spec.tower
+    top, size = tower.top, tower.size
+    shift = [top.mul(spec.c, top.inv(top.add(t, spec.b)))
+             for t in range(tower.q)]
+    row = range(width) if lin is None else [lin(lo) for lo in range(width)]
+    traces = iter(tower.trace_table)
+    seen = bytearray(size)
+    block = shift  # L(0) = 0
     for hi in range(0, size, width):
-        lhi = lin(hi)
-        block_shift = [add(lhi, s) for s in shift]
-        for lo_image, t in zip(row, trace[hi:hi + width]):
-            y = add(lo_image, block_shift[t])
+        if hi:
+            lhi = lin(hi)
+            block = [lhi ^ s for s in shift]
+        for lo, t in zip(row, traces):
+            y = lo ^ block[t]
             if seen[y]:
                 return False
             seen[y] = 1
     return True
 
 
-def _scan_logs(spec):
-    """The odd-characteristic scan.  A None log (a zero operand) or a
-    None from zech (a zero sum) raises TypeError in the arithmetic.  seen
-    is indexed by the image's logarithm, slot size - 1 standing for 0.
-    The shifts log(c/(t + b)) are log c - log b - zech[log t - log b]
-    for t != 0, and t + b is never 0."""
+def _scan_logs(spec, lin, width):
+    """The odd-characteristic scan.  The shifts log(c/(t + b)) are
+    log c - log b - zech[log t - log b] for t != 0, and t + b is never 0.
+    The row of log L(lo) is the log table itself for the identity.  seen
+    is indexed by the image's logarithm, slot size - 1 standing for 0."""
     tower = spec.tower
-    top, trace, size, q = tower.top, tower.trace_table, tower.size, tower.q
-    exp, log, zech = top._exp, top._log, top._zech
+    top, size, q = tower.top, tower.size, tower.q
+    log, zech = top._log, top._zech
     order = size - 1
     lb = log[spec.b]
     lcb = log[spec.c] - lb
     shift = [lcb % order] + [(lcb - zech[log[t] - lb]) % order
                              for t in range(1, q)]
+    row = log if lin is None else [log[lin(lo)] for lo in range(width)]
+    traces = iter(tower.trace_table)
     seen = bytearray(size)
-    if spec.L.is_identity:
-        # x = 0 first, with image c/b; then x = g^k in exponent order.
-        seen[shift[0]] = 1
-        for k, t in enumerate(map(trace.__getitem__, islice(exp, order))):
-            try:
-                j = (k + zech[shift[t] - k]) % order
-            except TypeError:
-                j = order
-            if seen[j]:
-                return False
-            seen[j] = 1
-        return True
-    lin = spec.L.eval_enc
-    width = q ** -(-tower.n // 2)
-    row = [log[lin(lo)] for lo in range(width)]
+    block = shift  # L(0) = 0
     for hi in range(0, size, width):
-        lhi = lin(hi)
-        block = shift
-        if lhi:
-            lh = log[lhi]
-            block = [None if z is None else (lh + z) % order
-                     for z in [zech[s - lh] for s in shift]]
-        for lo, t in zip(row, trace[hi:hi + width]):
+        if hi:
+            lh = log[lin(hi)]
+            block = shift if lh is None else [
+                None if z is None else (lh + z) % order
+                for z in [zech[s - lh] for s in shift]]
+        for lo, t in zip(row, traces):
             try:
                 j = (lo + zech[block[t] - lo]) % order
             except TypeError:
-                # A None: L(lo) = 0, L(hi) + c/(t + b) = 0, or their sum
-                # is 0.  Add the encodings.
+                # A None operand (log 0) or a zero sum.  With one operand
+                # 0 the image is the other; with both 0, or a zero sum, 0.
                 lt = block[t]
-                y = top.add(0 if lo is None else exp[lo],
-                            0 if lt is None else exp[lt])
-                j = log[y] if y else order
+                j = order if (lo is None) == (lt is None) else (
+                    lt if lo is None else lo)
             if seen[j]:
                 return False
             seen[j] = 1
@@ -291,7 +279,7 @@ def _level_set(tower, target):
     order = tower.size - 1
     trace = tower.trace_table
     digits = bytearray(b"0") * order
-    for k, x in enumerate(tower.top._exp[:order]):
+    for k, x in enumerate(islice(tower.top._exp, order)):
         if trace[x] == target:
             digits[order - 1 - k] = 49
     level = int(digits, 2)

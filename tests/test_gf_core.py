@@ -26,6 +26,7 @@ from permrf import (
     gf_core,
     make_tower,
     matrix_of,
+    ratfunc,
     trace_decompose,
 )
 from permrf.errors import (
@@ -455,6 +456,24 @@ def test_table_rebuild_transient_memory(params, rebuild):
     finally:
         tracemalloc.stop()
     assert peak - before <= 10 * t.size
+
+
+def test_level_set_transient_memory():
+    """classify_c's level set reads exp in place: a digit per element,
+    1 B, and the ints made from the digits, about 1.6 B per element in
+    all on 2:16.  A copy of exp would add 8 B per element, about 134 MB
+    on 2:24, which classify_c's bound admits."""
+    t = make_tower(2, 1, 16)
+    ratfunc._level_set.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ratfunc._level_set(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ratfunc._level_set.cache_clear()
+    assert peak - before <= 2 * t.size
 
 
 def test_norm_equals_conjugate_product():

@@ -19,7 +19,7 @@ from permrf import (
     rank_kernel_image,
     trace_decompose,
 )
-from permrf.errors import NotBijective, OutOfRange
+from permrf.errors import NotBijective, OutOfRange, UsageError
 from permrf.linmaps import complete_basis
 
 
@@ -49,6 +49,12 @@ def test_coefficient_validation():
         LinearizedPoly(t, (9, 0))
     with pytest.raises(OutOfRange):
         LinearizedPoly(t, (-1, 0))
+
+
+def test_coefficients_must_be_a_sequence():
+    t = make_tower(3, 1, 2)
+    with pytest.raises(UsageError):
+        LinearizedPoly(t, 5)
 
 
 def test_eval_matches_explicit_powers():

@@ -64,6 +64,17 @@ def test_worker_count_clamps(monkeypatch):
     assert _pool.worker_count(4, 10) == 1
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, None])
+def test_map_ordered_refuses_bad_worker_counts(monkeypatch, pool_sizes,
+                                               workers):
+    # Unchecked, 0 would run on one worker without a word, and 2.5 with
+    # 3 or more CPUs would reach the executor as max_workers.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(UsageError):
+        map_ordered(_square, range(9), workers=workers)
+    assert pool_sizes == []
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The size of every pool opened in the test.  A stand-in executor
