@@ -23,12 +23,12 @@ from .gf_core import (
     DEFAULT_SIZE_BUDGET,
     FieldTower,
     basis_det_b,
-    dual_basis,
     make_tower,
 )
 from .linmaps import (
     LinearizedPoly,
     compose,
+    dual_basis,
     invert_lin,
     matrix_of,
     rank_kernel_image,

@@ -59,6 +59,10 @@ def parse_field_spec(text):
 
 
 def _parse_coeffs(text, what):
+    """The ints of a comma-separated flag, or None for an absent one; a
+    flag given as "" is refused, not taken as absent."""
+    if text is None:
+        return None
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -69,8 +73,8 @@ def _parse_coeffs(text, what):
 def _tower_for(args):
     """The tower named by the --field and modulus flags."""
     p, m, n = parse_field_spec(args.field)
-    g = _parse_coeffs(args.modulus_g, "--modulus-g") if args.modulus_g else None
-    h = _parse_coeffs(args.modulus_h, "--modulus-h") if args.modulus_h else None
+    g = _parse_coeffs(args.modulus_g, "--modulus-g")
+    h = _parse_coeffs(args.modulus_h, "--modulus-h")
     return make_tower(p, m, n, g, h, args.budget)
 
 
@@ -104,11 +108,10 @@ def _cmd_field(args):
 
 def _cmd_check(args):
     tower = _tower_for(args)
-    L = None
-    if args.L:
-        L = LinearizedPoly(tower, _parse_coeffs(args.L, "--L"))
+    coeffs = _parse_coeffs(args.L, "--L")
+    L = None if coeffs is None else LinearizedPoly(tower, coeffs)
     spec = RatFuncSpec(tower, args.b, args.c, L)
-    given_coeffs = list(spec.L.coeffs) if args.L else None
+    given_coeffs = None if L is None else list(spec.L.coeffs)
     witness = None
     normalized_c = None
     if args.method == "direct":
@@ -238,7 +241,7 @@ def _cmd_weil(args):
 
 
 def _cmd_verify(args):
-    qs = _parse_coeffs(args.q, "--q") if args.q else None
+    qs = _parse_coeffs(args.q, "--q")
     if args.suite == "all":
         if qs is not None:
             raise UsageError("--suite all runs fixed defaults; drop --q")

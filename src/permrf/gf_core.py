@@ -58,7 +58,6 @@ from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import add, floordiv, mod, mul, pos, xor
 
-from . import _linalg
 from .errors import (
     BInBaseField,
     BZero,
@@ -67,7 +66,6 @@ from .errors import (
     DivisionByZero,
     InvalidModulus,
     NonDivisorDegrees,
-    NotABasis,
     NotInSubfield,
     NotPrime,
     OutOfRange,
@@ -262,15 +260,6 @@ class _ExtField:
         self.ground = ground
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        if self.degree < 1:
-            raise InvalidModulus("modulus must have degree at least 1")
-        if modulus[-1] != 1:
-            raise InvalidModulus("modulus must be monic")
-        if not all(isinstance(c, int) and 0 <= c < ground.size
-                   for c in modulus):
-            raise InvalidModulus(f"modulus {self.modulus} has a coefficient "
-                                 f"that is not an integer in "
-                                 f"0..{ground.size - 1}")
         if not _is_irreducible(ground, list(modulus)):
             raise InvalidModulus(f"modulus {tuple(modulus)} is reducible")
         self.char = ground.char
@@ -794,12 +783,18 @@ def _canonical_h(p, n, g):
     return _canonical_modulus(_mid_field(p, g), n)
 
 
-def _explicit_modulus(f, degree, name):
+def _explicit_modulus(f, degree, s, name):
+    """f as a tuple, once it is a monic polynomial of the degree over the
+    field of s elements.  2.0 and True equal 2 and 1: let in, they would
+    share the cache key of a field already built, or be stored in the
+    modulus of a new one."""
     f = tuple(f)
-    # 2.0 == 2 would share a cache key with a field already built.
-    if len(f) != degree + 1 or not all(isinstance(c, int) for c in f):
-        raise InvalidModulus(
-            f"{name} must be {degree + 1} integer coefficients, low to high")
+    if len(f) != degree + 1 or not all(type(c) is int and 0 <= c < s
+                                       for c in f):
+        raise InvalidModulus(f"{name} must be {degree + 1} int coefficients "
+                             f"in 0..{s - 1}, low to high")
+    if f[-1] != 1:
+        raise InvalidModulus(f"{name} must be monic")
     return f
 
 
@@ -820,8 +815,9 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     """
     budget = _size_budget(size_budget)
     _check_tower_params(p, m, n, budget)
-    g = _canonical_g(p, m) if g is None else _explicit_modulus(g, m, "g")
-    h = _canonical_h(p, n, g) if h is None else _explicit_modulus(h, n, "h")
+    g = _canonical_g(p, m) if g is None else _explicit_modulus(g, m, p, "g")
+    h = (_canonical_h(p, n, g) if h is None
+         else _explicit_modulus(h, n, p ** m, "h"))
     return _cached_tower(p, m, n, g, h, budget)
 
 
@@ -832,34 +828,6 @@ def _clear_caches():
 
 make_tower.cache_info = _cached_tower.cache_info
 make_tower.cache_clear = _clear_caches
-
-
-def dual_basis(tower, basis):
-    """Dual of a basis of the top field over the middle one.
-
-    basis is a sequence of n top-level encodings b_i; the result is the
-    tuple of encodings d_k with Tr(b_i * d_k) = [i == k].
-    Raises NotABasis when the Gram matrix of the trace form is singular,
-    which happens exactly when the inputs fail to be a basis.
-    """
-    n = tower.n
-    encs = list(basis)
-    if len(encs) != n:
-        raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
-    for e in encs:
-        _check_enc(tower, e, "basis")
-    gram = [[tower.trace_enc(tower.top.mul(bi, bj)) for bj in encs]
-            for bi in encs]
-    inv = _linalg.inv_matrix(tower.mid, gram)
-    if inv is None:
-        raise NotABasis("trace Gram matrix is singular")
-    out = []
-    for k in range(n):
-        acc = 0
-        for j in range(n):
-            acc = tower.top.add(acc, tower.top.mul(inv[k][j], encs[j]))
-        out.append(acc)
-    return tuple(out)
 
 
 def basis_det_b(tower, b):

@@ -11,14 +11,15 @@ and image, and the Frobenius matrix that `permrf field` prints.
 
 The trace form is nondegenerate, so every map L has one adjoint L* with
 Tr(y * L(x)) = Tr(L*(y) * x).  Tr is invariant under x -> x^q, so L* has
-a_i^(q^k) at x^(q^k) for k = -i mod n, and trace duals need no solve.
+a_i^(q^k) at x^(q^k) for k = -i mod n.  A dual basis is one column of an
+inverse Moore matrix over the top field.
 """
 
 from dataclasses import dataclass, field
 
 from . import _linalg
-from .errors import NotBijective, OutOfRange, UsageError
-from .gf_core import FieldTower, _check_enc, dual_basis
+from .errors import NotABasis, NotBijective, UsageError
+from .gf_core import FieldTower, _check_enc
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ def compose(outer, inner):
 
 
 def rank_kernel_image(L):
-    """(rank, kernel basis, image basis); bases are ascending encodings."""
+    """(rank, kernel basis, image basis); bases are ascending encodings.
+    The image basis is reduced echelon: each element's lowest nonzero
+    base-q digit is 1, and every other element's digit there is 0."""
     tower = L.tower
     m = matrix_of(L)
     kernel = [tower.top.undigits(v) for v in _linalg.nullspace(tower.mid, m)]
@@ -112,24 +115,27 @@ def invert_lin(L):
     return LinearizedPoly(tower, tuple(inv[0]))
 
 
-def complete_basis(tower, vectors):
-    """Extend independent top elements to a basis, preferring low encodings.
+def dual_basis(tower, basis):
+    """Dual of a basis of the top field over the middle one: the d_k with
+    Tr(w_j * d_k) = [j == k] for the n top encodings w_j in basis.
 
-    When every encoding below q^k lies in the span, those from q^k to
-    q^(k+1) - 1 lie in it exactly when q^k does; so trying v^0 .. v^(n-1)
-    in turn yields the least fill-ins.
+    With M[i][j] = w_j^(q^i) and D[i][k] = d_k^(q^i), M^T D = 1, so d_k is
+    entry (k, 0) of M^-1.  This Moore matrix is singular, and NotABasis
+    raised, exactly when the w_j are dependent over F_q.
     """
-    vectors = list(vectors)
-    for enc in vectors:
-        _check_enc(tower, enc, "vector")
-    out = []
-    for i, enc in enumerate(vectors + [tower.q ** k for k in range(tower.n)]):
-        rows = [tower.top.digits(e, tower.n) for e in out + [enc]]
-        if len(_linalg.rref(tower.mid, rows)[1]) > len(out):
-            out.append(enc)
-        elif i < len(vectors):
-            raise OutOfRange(f"encoding {enc} is dependent on the others")
-    return out
+    n = tower.n
+    encs = list(basis)
+    if len(encs) != n:
+        raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
+    for e in encs:
+        _check_enc(tower, e, "basis")
+    rows = [encs]
+    for _ in range(1, n):
+        rows.append([tower.frob_table[w] for w in rows[-1]])
+    inv = _linalg.inv_matrix(tower.top, rows)
+    if inv is None:
+        raise NotABasis("the elements are dependent over the middle field")
+    return tuple(row[0] for row in inv)
 
 
 def _adjoint(L):
@@ -147,12 +153,16 @@ def trace_decompose(L):
     """Write L(x) as sum alpha_i Tr(beta_i x) with independent alpha_i.
 
     Returns rank-many (alpha_i, beta_i) pairs of top encodings.  The alpha_i
-    are the image basis; with (d_i) the dual of its completion to a basis,
-    the coordinate along alpha_i is Tr(d_i L(x)) = Tr(L*(d_i) x), so
-    beta_i = L*(d_i).
+    are the image basis, which is reduced echelon, so the coordinate along
+    alpha_i is the digit of L(x) at alpha_i's lowest nonzero digit k, and
+    that digit is Tr(d_k L(x)) = Tr(L*(d_k) x) with (d_k) the dual of the
+    power basis: beta_i = L*(d_k).
     """
     tower = L.tower
+    n = tower.n
     _, _, image = rank_kernel_image(L)
-    duals = dual_basis(tower, complete_basis(tower, image))
+    duals = dual_basis(tower, [tower.q ** k for k in range(n)])
     adj = _adjoint(L)
-    return [(alpha, adj.eval_enc(d)) for alpha, d in zip(image, duals)]
+    # Digits below k are 0 and digit k is 1, so k is the first 1.
+    return [(a, adj.eval_enc(duals[tower.top.digits(a, n).index(1)]))
+            for a in image]

@@ -175,7 +175,13 @@ def _scan_logs(spec, lin, width):
             block = shift if lh is None else [
                 None if z is None else (lh + z) % order
                 for z in [zech[s - lh] for s in shift]]
-        for lo, t in zip(row, traces):
+        # L(lo) = 0 at lo = 0, so the image there is the block entry.
+        lt = block[next(traces)]
+        j = order if lt is None else lt
+        if seen[j]:
+            return False
+        seen[j] = 1
+        for lo, t in zip(islice(row, 1, None), traces):
             try:
                 j = (lo + zech[block[t] - lo]) % order
             except TypeError:

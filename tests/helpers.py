@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from permrf import make_tower
+from permrf import LinearizedPoly, make_tower, rank_kernel_image
 from permrf.bivariate import BivarPoly, bilinear, mul, norm_poly
 
 # Towers small enough for exhaustive loops.
@@ -32,6 +32,22 @@ def tower_and_nonbase_b(draw):
     tower = draw(towers())
     b = draw(st.integers(tower.q, tower.size - 1))
     return tower, b
+
+
+def seeded_map_of_rank(t, rank, rng):
+    """L(x) = sum of rank terms alpha * Tr(beta * x), redrawn until its
+    rank is exactly rank; rank 0 is the zero map."""
+    top = t.top
+    while True:
+        coeffs = [0] * t.n
+        for _ in range(rank):
+            alpha, beta = rng.randrange(1, t.size), rng.randrange(1, t.size)
+            for k in range(t.n):
+                coeffs[k] = top.add(coeffs[k],
+                                    top.mul(alpha, t.frob_enc(beta, k)))
+        L = LinearizedPoly(t, tuple(coeffs))
+        if rank_kernel_image(L)[0] == rank:
+            return L
 
 
 def prime_powers(limit):

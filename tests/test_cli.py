@@ -486,6 +486,21 @@ def test_custom_modulus_flags(capsys):
     assert json.loads(err)["error"] == "InvalidModulus"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "lemma-basis", "--q", ""),
+    ("check", "--field", "3:2", "--b", "3", "--c", "1", "--L", ""),
+    ("field", "--field", "3:2", "--modulus-g", ""),
+    ("field", "--field", "3:2", "--modulus-h", ""),
+])
+def test_empty_list_flags_are_refused(capsys, argv):
+    # An empty list is no list: it once ran as if the flag were absent.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert argv[-2] in error["detail"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "permrf", "weil", "--degree", "4",

@@ -6,6 +6,7 @@ no shared code with the package.
 """
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -44,7 +45,6 @@ from permrf.errors import (
     UsageError,
 )
 from permrf.gf_core import DEFAULT_SIZE_BUDGET
-from permrf.linmaps import complete_basis
 
 # Smallest monic irreducibles by ascending coefficient code, middle
 # then top, coefficients low to high.
@@ -566,6 +566,12 @@ def test_constructor_validation():
         make_tower(3, 2, 2, g=(2.0, 1, 1))
     with pytest.raises(InvalidModulus):
         make_tower(3, 2, 2, g=(2.0, 1, 1), h=(4, 0, 1))
+    # True == 1 alike: it would share the cache key of g=(2, 1, 1), and
+    # the tower built would store True in its modulus.
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 2, 2, g=(2, True, 1))
+    with pytest.raises(InvalidModulus):
+        make_tower(3, 1, 2, h=(True, 0, 1))
     # Degrees and the budget must be ints, cached tower or not: 1.0 and
     # True hash as 1, so they would share the cache key of 3:2.
     bad_types = (((3, 1.0, 2), {}, DegreeZero),
@@ -645,9 +651,36 @@ def test_dual_basis_f4():
 
 
 def test_dual_basis_properties():
-    for params in ((3, 1, 2), (2, 1, 3), (2, 2, 2)):
+    # Seeded random sets too, on towers up to n = 4 and over the middle
+    # fields F_4 and F_9: a set is a basis exactly when its F_q-span is
+    # the whole field, and then Tr(w_j * d_k) = [j == k]; a set whose
+    # last element is an F_q-combination of the others is refused.
+    for params in ((3, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 3), (2, 1, 4),
+                   (2, 2, 3), (3, 2, 2)):
         t = make_tower(*params)
         top = t.top
+        rng = random.Random(f"dual-basis:{params}")
+        for _ in range(12):
+            basis = [rng.randrange(t.size) for _ in range(t.n)]
+            span = set()
+            for coords in itertools.product(range(t.q), repeat=t.n):
+                y = 0
+                for c, w in zip(coords, basis):
+                    y = top.add(y, top.mul(c, w))
+                span.add(y)
+            if len(span) < t.size:
+                with pytest.raises(NotABasis):
+                    dual_basis(t, basis)
+                continue
+            duals = dual_basis(t, basis)
+            for k, d in enumerate(duals):
+                for j, w in enumerate(basis):
+                    assert t.trace_enc(top.mul(w, d)) == (j == k)
+            last = 0
+            for w in basis[:-1]:
+                last = top.add(last, top.mul(rng.randrange(t.q), w))
+            with pytest.raises(NotABasis):
+                dual_basis(t, basis[:-1] + [last])
         powers = [top.pow(t.q, i) for i in range(t.n)]
         duals = dual_basis(t, powers)
         for i, di in enumerate(duals):
@@ -728,7 +761,6 @@ def test_encoding_maps_refuse_encodings_outside_the_field():
             lambda a: t.in_subfield_enc(a, 1),
             lambda a: t.trace_rel_enc(a, 2, 2),
             lambda a: dual_basis(t, (1, a)),
-            lambda a: complete_basis(t, [a]),
             lambda a: eval_rf(RatFuncSpec(t, 3, 1), a),
             lambda a: eval_poly(f, a, 0),
             lambda a: eval_poly(f, 0, a),

@@ -8,11 +8,10 @@ import random
 
 import pytest
 
-from helpers import SMALL_TOWERS
+from helpers import SMALL_TOWERS, seeded_map_of_rank
 from permrf import (
     LinearizedPoly,
     compose,
-    dual_basis,
     invert_lin,
     make_tower,
     matrix_of,
@@ -20,7 +19,6 @@ from permrf import (
     trace_decompose,
 )
 from permrf.errors import NotBijective, OutOfRange, UsageError
-from permrf.linmaps import complete_basis
 
 
 def test_constructors_and_identity():
@@ -120,6 +118,21 @@ def test_rank_nullity():
             assert all(L.eval_enc(k) == 0 for k in kernel)
 
 
+def test_image_basis_is_reduced_echelon():
+    # trace_decompose reads coordinates off these digits.
+    for params in ((3, 1, 2), (2, 2, 2), (2, 1, 3), (2, 1, 4), (3, 2, 2)):
+        t = make_tower(*params)
+        rng = random.Random(f"linmaps-echelon:{params}")
+        for r in range(t.n + 1):
+            _, _, image = rank_kernel_image(seeded_map_of_rank(t, r, rng))
+            rows = [t.top.digits(a, t.n) for a in image]
+            for row in rows:
+                k = next(i for i, digit in enumerate(row) if digit)
+                assert row[k] == 1
+                assert [other[k] for other in rows] == [
+                    int(other is row) for other in rows]
+
+
 def test_invert_lin():
     # Every map on four small towers: the Dickson matrix that invert_lin
     # inverts is singular exactly when the F_q matrix is.
@@ -137,23 +150,6 @@ def test_invert_lin():
                     invert_lin(L)
 
 
-def test_complete_basis():
-    t = make_tower(2, 1, 3)
-    full = complete_basis(t, [3])
-    assert len(full) == 3
-    # dual_basis raises NotABasis unless the three span F_8.
-    dual_basis(t, full)
-    assert full[0] == 3
-    # v itself lies in the span, so the fill-ins skip it: 1, then v^2.
-    assert full == [3, 1, 4]
-    with pytest.raises(OutOfRange, match="encoding 3 is dependent"):
-        complete_basis(t, [1, 2, 4, 3])
-    # Checked before any elimination: digits() never ends on a negative.
-    for enc in (8, -1):
-        with pytest.raises(OutOfRange, match=f"encoding {enc} outside field of size 8"):
-            complete_basis(t, [enc])
-
-
 def test_trace_decompose_frozen_f4():
     t = make_tower(2, 1, 2)
     ident = trace_decompose(LinearizedPoly.identity(t))
@@ -165,16 +161,22 @@ def test_trace_decompose_frozen_f4():
 
 
 def test_trace_decompose_reconstructs():
-    for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)):
+    # Random maps, and seeded maps of every rank 0..n, on towers up to
+    # n = 4 and over the middle fields F_4 and F_9.
+    for params in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3),
+                   (2, 2, 3), (2, 1, 4), (3, 2, 2)):
         t = make_tower(*params)
         top = t.top
         rng = random.Random(f"linmaps-decompose:{params}")
-        for _ in range(8):
-            L = LinearizedPoly(t, tuple(rng.randrange(t.size)
+        maps = [LinearizedPoly(t, tuple(rng.randrange(t.size)
                                         for _ in range(t.n)))
+                for _ in range(8)]
+        maps += [seeded_map_of_rank(t, r, rng)
+                 for r in range(t.n + 1) for _ in range(3)]
+        for L in maps:
             pairs = trace_decompose(L)
-            rank, _, _ = rank_kernel_image(L)
-            assert len(pairs) == rank
+            _, _, image = rank_kernel_image(L)
+            assert [alpha for alpha, _ in pairs] == image
             for x in range(t.size):
                 acc = 0
                 for alpha, beta in pairs:

@@ -30,9 +30,12 @@ DROPPED = ("frobenius", "trace_rel", "trace", "norm", "invert",
 # tower.base and range(tower.size) do each job; the prime field's neg and
 # pow, and the text of a linear map, had no job.  The grid sums and
 # products the curves were built from, and the field scan and memo behind
-# the factor search, gave way to one conjugate product.
+# the factor search, gave way to one conjugate product.  trace_decompose
+# reads coordinates off echelon pivots, so no basis is completed, and the
+# dual basis lives in linmaps alone.
 DROPPED_ATTRS = (
-    (linmaps, ("from_matrix",)),
+    (linmaps, ("from_matrix", "complete_basis")),
+    (gf_core, ("dual_basis",)),
     (linmaps.LinearizedPoly, ("zero", "scaling", "frobenius_power",
                               "__call__", "pretty")),
     (gf_core._PrimeField, ("neg", "pow")),

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import SMALL_TOWERS
+from helpers import SMALL_TOWERS, seeded_map_of_rank
 from permrf import (
     LinearizedPoly,
     RatFuncSpec,
@@ -24,7 +24,6 @@ from permrf import (
     make_tower,
     normalize_spec,
     pairwise_criterion,
-    rank_kernel_image,
     remark3_check,
     invert_lin,
 )
@@ -580,22 +579,6 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
     assert not is_permutation_reduced(t, 3, 2)
 
 
-def _seeded_map_of_rank(t, rank, rng):
-    """L(x) = sum of rank terms alpha * Tr(beta * x), redrawn until its
-    rank is exactly rank; rank 0 is the zero map."""
-    top = t.top
-    while True:
-        coeffs = [0] * t.n
-        for _ in range(rank):
-            alpha, beta = rng.randrange(1, t.size), rng.randrange(1, t.size)
-            for k in range(t.n):
-                coeffs[k] = top.add(coeffs[k],
-                                    top.mul(alpha, t.frob_enc(beta, k)))
-        L = LinearizedPoly(t, tuple(coeffs))
-        if rank_kernel_image(L)[0] == rank:
-            return L
-
-
 def test_direct_scan_matches_pointwise_reference(monkeypatch):
     # At odd n the digit blocks are q^((n+1)/2) wide and fewer than that
     # many; 2^2:3 and 3^2:2 have a middle field that is not prime.  Every
@@ -626,7 +609,7 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
         top = t.top
         b = rng.randrange(t.q, t.size)
         maps = [None, LinearizedPoly(t, (top.neg(1), 1))]
-        maps += [_seeded_map_of_rank(t, r, rng) for r in range(t.n + 1)]
+        maps += [seeded_map_of_rank(t, r, rng) for r in range(t.n + 1)]
         cases = []
         for L in maps:
             for c in range(1, t.size):
@@ -681,3 +664,50 @@ def test_direct_scan_evaluates_L_once_per_row_entry_and_block(monkeypatch):
         width = t.q ** -(-t.n // 2)
         assert 0 < calls["eval"] <= width + t.size // width
 
+
+def _scan_log_raises(spec):
+    """(verdict, exceptions raised in _scan_logs frames) of one direct scan."""
+    raised = Counter()
+
+    def local(frame, event, arg):
+        raised[event] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not ratfunc._scan_logs.__code__:
+            return None
+        frame.f_trace_lines = False
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        verdict = is_permutation_direct(spec)
+    finally:
+        sys.settrace(old)
+    return verdict, raised["exception"]
+
+
+def test_odd_scan_takes_lo_zero_without_raising():
+    # lo = 0 starts every digit block, and its None logarithm is taken
+    # before the block's loop, so a full scan raises only where an
+    # operand with lo != 0 is 0: at the one zero sum, and for L = a*x^q
+    # also where L(hi) + c/(Tr(x) + b) = 0.  A scan that met lo = 0 in
+    # the loop would raise once more per block.
+    for params in ((3, 1, 2), (5, 1, 2), (3, 1, 3)):
+        t = make_tower(*params)
+        top = t.top
+        for b in range(t.q, t.size, t.q - 1):
+            c = classify_c(t, b)[0]
+            assert _scan_log_raises(RatFuncSpec(t, b, c)) == (True, 1)
+            a = t.size - 1
+            spec = RatFuncSpec(t, b, top.mul(a, c), LinearizedPoly(t, (0, a)))
+            width = t.q ** -(-t.n // 2)
+            want = 0
+            for x in range(t.size):
+                lo = x % width
+                entry = top.add(spec.L.eval_enc(x - lo),
+                                top.mul(spec.c, top.inv(top.add(
+                                    t.trace_enc(x), b))))
+                want += lo != 0 and 0 in (entry, eval_rf(spec, x))
+            assert _scan_log_raises(spec) == (True, want)
