@@ -25,20 +25,21 @@ Multiplication and inversion run on exponential and logarithm tables
 built from the smallest-encoding generator g of each level.  The search
 for g starts at the ground size s when the degree d exceeds 1, since a
 ground element's order divides s - 1.  With c = (s^d - 1)/(s - 1), g^c
-lies in the ground and generates its units, which the search tests in
-the ground before any other power of a candidate.  So g^(k*c + i) =
+is the norm of g: it lies in the ground and generates its units, and
+the search tests it there, as the resultant of the modulus and the
+candidate, before any power of a candidate.  So g^(k*c + i) =
 (g^c)^k * g^i: only the first c powers are stepped one by one, and the
 other s - 2 blocks are the first scaled by (g^c)^k, which multiplies
-each base-s digit on its own (one row of the ground per k, each row the
-last read through the first).  The c steps use a precomputed linear
-step: x -> x * g is F_p-linear, so the images of every value of each
-chunk of an encoding's base-p digits are computed once by polynomial
-product (a few hundred to a few thousand), and each later power costs
-one lookup per chunk, summed by XOR in characteristic 2 and digit by
-digit in the ground field otherwise.  In odd characteristic addition
-runs on the same tables through Zech logarithms, zech[k] = log(1 + g^k):
-a + b = a * (1 + b/a) is one lookup each in log, zech and exp, and
--a = g^((size-1)/2) * a.  Characteristic 2 adds by XOR of encodings.
+each base-s digit on its own (one row of the ground per k, each block
+gathered through fixed indices).  The c steps use a linear step:
+x -> x * g is F_p-linear, so the images of every value of each chunk of
+an encoding's base-p digits follow from one polynomial product per
+digit, and each later power costs one lookup per chunk, summed by XOR
+in characteristic 2 and digit by digit in the ground field otherwise.
+In odd characteristic addition runs on the same tables through Zech
+logarithms, zech[k] = log(1 + g^k): a + b = a * (1 + b/a) is one
+lookup each in log, zech and exp, and -a = g^((size-1)/2) * a.
+Characteristic 2 adds by XOR of encodings.
 The Frobenius table of the top field and the Zech table are each one
 loop over strided slices of the tables, read in order: multiplying an
 exponent by q modulo q^n - 1 rotates its base-q digits, so the q-th
@@ -56,7 +57,7 @@ towers larger than the size budget.
 
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat
-from operator import add, floordiv, mod, mul, pos, xor
+from operator import add, floordiv, itemgetter, mod, mul, pos, xor
 
 from .errors import (
     BInBaseField,
@@ -289,6 +290,21 @@ class _ExtField:
             e >>= 1
         return result
 
+    def _norm(self, a):
+        """N(a) = a^((s^d - 1)/(s - 1)) as Res(h, a), h the monic modulus,
+        by Euclid over the ground: Res(f, g) is lc(g)^deg(f) Res(f, g/lc(g)),
+        for monic g (-1)^(deg(f) deg(g)) Res(g, f mod g), and 0 at g = 0
+        unless f = 1."""
+        k, f, g, res = self.ground, self.modulus, self.digits(a), 1
+        while g:
+            for _ in range(len(f) - 1):
+                res = k.mul(res, g[-1])
+            g = _poly_make_monic(k, g)
+            if (len(f) - 1) * (len(g) - 1) % 2:
+                res = k.sub(0, res)
+            f, g = g, _poly_mod(k, f, g)
+        return res if len(f) == 1 else 0
+
     def _build_tables(self):
         order = self.size - 1
         if order == 1:
@@ -298,10 +314,10 @@ class _ExtField:
             return
         ground, s, d = self.ground, self.ground.size, self.degree
         primes = _factor_int(order)
-        # g^(order/r) = N^((s - 1)/r) for a prime r of s - 1, with
-        # N = g^c, c = order/(s - 1), in the ground: one power of a
+        # g^(order/r) = N^((s - 1)/r) for a prime r of s - 1, with the
+        # norm N = g^c, c = order/(s - 1): one resultant (_norm) per
         # candidate, tested in the ground (the prime field keeps no
-        # tables; Python's pow is its power), then one per other prime.
+        # tables; Python's pow is its power), then one power per prime left.
         ground_parts = [(s - 1) // r for r in primes if (s - 1) % r == 0]
         primes = [r for r in primes if (s - 1) % r]
         ground_pow = (ground.pow if isinstance(ground, _ExtField)
@@ -311,7 +327,7 @@ class _ExtField:
         # can generate unless the field is its ground (d = 1).
         for cand in range(s if d > 1 else 2, self.size):
             if ground_parts:
-                norm = self._raw_pow(cand, order // (s - 1))
+                norm = self._norm(cand)
                 if any(ground_pow(norm, e) == 1 for e in ground_parts):
                     continue
             if all(self._raw_pow(cand, order // r) != 1 for r in primes):
@@ -357,11 +373,7 @@ class _ExtField:
                     acc >>= shift
                 acc = nxt
         else:
-            add, s, d = self.ground.add, self.ground.size, self.degree
-            # Rebinding frees the image encodings before the loop makes
-            # the powers' ints.
-            images = [[tuple(reversed(self.digits(y, d))) for y in image]
-                      for image in images]
+            add, s = self.ground.add, self.ground.size
             first, *rest = images
             for i in range(count):
                 powers[i] = acc
@@ -384,7 +396,7 @@ class _ExtField:
         encoding splits into chunks of w digits, x = sum_j x_j * R^j with
         R = s^w, and z^k * x = sum_j row_k[x_j] * R^j, where row_k[y] is
         the chunk y with every digit times z^k.  row_(k+1) is row_k read
-        through row_1, and each block is a chain of maps over the chunks.
+        through row_1, and each block sums each chunk's gather of its row.
         """
         ground, s = self.ground, self.ground.size
         w = 1
@@ -399,18 +411,22 @@ class _ExtField:
         parts = [map(mod, map(floordiv, islice(exp, c), repeat(scale)),
                      repeat(radix))
                  for scale in scales]
-        if s > 3:
-            # Every block reads the chunks again.  At s = 3 the single
-            # block reads them straight off exp: as lists, up to three
-            # chunks of size / 2 entries each would sit beside the tables.
-            parts = [list(part) for part in parts]
         rows = [list(map(mul, step, repeat(scale))) for scale in scales]
+        if s > 3:
+            # c > 1 indices each, so every gather returns a tuple.
+            gathers = [itemgetter(*part) for part in parts]
+        else:
+            # The one block at s = 3 reads the chunks off exp: gathered, up
+            # to three chunks of size / 2 entries would sit beside the tables.
+            gathers = [lambda row, part=part: map(row.__getitem__, part)
+                       for part in parts]
+        restep = itemgetter(*step)
         for _ in range(s - 2):
-            block = map(rows[0].__getitem__, parts[0])
-            for row, part in zip(rows[1:], parts[1:]):
-                block = map(add, block, map(row.__getitem__, part))
+            block = gathers[0](rows[0])
+            for gather, row in zip(gathers[1:], rows[1:]):
+                block = map(add, block, gather(row))
             yield block
-            rows = [list(map(row.__getitem__, step)) for row in rows]
+            rows = [restep(row) for row in rows]
 
     def _step_images(self, gen):
         """Chunk images of the F_p-linear map x -> x * gen.
@@ -420,22 +436,37 @@ class _ExtField:
         with radix = p^w, and x * gen = sum_j (x_j * radix^j) * gen: one
         lookup per chunk, summed by XOR in characteristic 2 and digit by
         digit in the ground field otherwise.  Returns radix and, per chunk
-        j, the encodings (x_j * radix^j) * gen for every chunk value x_j.
-        The chunks are as even as _MAX_CHUNK allows, and one digit each
-        when p alone exceeds it.
+        j, (x_j * radix^j) * gen for every chunk value x_j: encodings in
+        characteristic 2, else ground digits high to low.  One polynomial
+        product per digit, added p - 1 times to the lower digits' images,
+        makes the chunk's.  The chunks are as even as _MAX_CHUNK allows,
+        and one digit each when p alone exceeds it.
         """
-        p, digits = self.char, 0
+        p, d, digits = self.char, self.degree, 0
         while p ** digits < self.size:
             digits += 1
         widest = 1
         while p ** (widest + 1) <= _MAX_CHUNK:
             widest += 1
-        chunks = -(-digits // widest)
-        radix = p ** -(-digits // chunks)
-        scales = [radix ** j for j in range(chunks)]
-        return radix, [[self._raw_mul(x * scale, gen)
-                         for x in range(min(radix, self.size // scale))]
-                        for scale in scales]
+        width = -(-digits // -(-digits // widest))
+        products = [self._raw_mul(p ** i, gen) for i in range(digits)]
+        plus, zero = xor, 0
+        if p != 2:
+            add, zero = self.ground.add, (0,) * d
+            products = [tuple(reversed(self.digits(y, d))) for y in products]
+
+            def plus(y, b):
+                return tuple(map(add, y, b))
+        images = []
+        for lo in range(0, digits, width):
+            img = [zero]
+            for b in products[lo:lo + width]:
+                block = img
+                for _ in range(p - 1):
+                    block = list(map(plus, block, repeat(b)))
+                    img += block
+            images.append(img)
+        return p ** width, images
 
     def _build_zech(self):
         """zech[k] = log(1 + g^k), None where 1 + g^k = 0.
@@ -787,8 +818,8 @@ def _explicit_modulus(f, degree, s, name):
     """f as a tuple, once it is a monic polynomial of the degree over the
     field of s elements.  2.0 and True equal 2 and 1: let in, they would
     share the cache key of a field already built, or be stored in the
-    modulus of a new one."""
-    f = tuple(f)
+    modulus of a new one.  A non-iterable f is refused the same way."""
+    f = tuple(f) if hasattr(f, "__iter__") else ()
     if len(f) != degree + 1 or not all(type(c) is int and 0 <= c < s
                                        for c in f):
         raise InvalidModulus(f"{name} must be {degree + 1} int coefficients "

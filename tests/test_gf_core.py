@@ -298,22 +298,72 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
 
 def test_cold_build_makes_few_polynomial_products(monkeypatch):
     """The exp tables step by table lookups, not one polynomial product
-    per element, and the generator search skips the ground, so it tries
-    about ten candidates on these towers (2^8:2 from 256 to 264)."""
+    per element.  x -> x * g is F_p-linear, so the step images cost
+    exactly one product per base-p digit of an encoding at each level;
+    one per chunk value made 512 on 2^8:2 for its 257 steps."""
     calls = 0
     raw_mul = gf_core._ExtField._raw_mul
+    step_images = gf_core._ExtField._step_images
+    stepped = []
 
     def counting(self, a, b):
         nonlocal calls
         calls += 1
         return raw_mul(self, a, b)
 
+    def recording(self, gen):
+        before = calls
+        out = step_images(self, gen)
+        stepped.append((self.size, calls - before))
+        return out
+
     monkeypatch.setattr(gf_core._ExtField, "_raw_mul", counting)
-    for params in ((2, 1, 15), (3, 5, 2), (2, 8, 2)):
+    monkeypatch.setattr(gf_core._ExtField, "_step_images", recording)
+    for p, m, n in ((2, 1, 15), (3, 5, 2), (2, 8, 2), (37, 1, 3)):
         make_tower.cache_clear()
-        calls = 0
-        t = make_tower(*params)
-        assert calls * 25 < t.size
+        stepped.clear()
+        make_tower(p, m, n)
+        # F_2 has the one unit 1 and steps nothing.
+        assert stepped == [(p ** k, k) for k in (m, m * n) if p ** k > 2]
+
+
+@pytest.mark.parametrize("p,m,n,g,h", TABLE_TOWERS)
+def test_step_images_are_polynomial_products(p, m, n, g, h):
+    """Each chunk's images, built by linearity from one product per digit,
+    equal the product for every chunk value: encodings in characteristic
+    2, ground digits high to low otherwise.  The chunks cover the field."""
+    t = make_tower(p, m, n, g=g, h=h)
+    for f in (t.mid, t.top):
+        radix, images = f._step_images(f.generator)
+        assert math.prod(map(len, images)) == f.size
+        for j, image in enumerate(images):
+            scale = radix ** j
+            assert len(image) == min(radix, f.size // scale)
+            for x, y in enumerate(image):
+                want = f._raw_mul(x * scale, f.generator)
+                if p != 2:
+                    want = tuple(reversed(f.digits(want, f.degree)))
+                assert y == want
+
+
+@pytest.mark.parametrize("p,m,n", [(5, 1, 3), (13, 1, 2), (7, 1, 4),
+                                   (3, 2, 3), (2, 4, 2), (2, 2, 3),
+                                   (37, 1, 3), (2, 3, 1)])
+def test_resultant_norm_is_the_norm_power(p, m, n):
+    """The search's norm Res(h, x) equals x^((s^d - 1)/(s - 1)) for every
+    candidate x it can try, from s (from 2 at d = 1) up to s + 300: over
+    prime grounds (the tops of 5:3, 13:2, 7:4 and 37:3, the middle
+    fields of 3^2, 2^4, 2^2 and 2^3) and non-prime ones (the tops of
+    3^2:3, 2^4:2 and 2^2:3), at odd and even degree d, and at d = 1,
+    where the norm is x itself (the middle fields at m = 1, the top of
+    2^3:1)."""
+    t = make_tower(p, m, n)
+    for f in (t.mid, t.top):
+        s = f.ground.size
+        c = (f.size - 1) // (s - 1)
+        for x in range(s if f.degree > 1 else 2, min(f.size, s + 300)):
+            assert f._norm(x) == f._raw_pow(x, c)
+        assert f._norm(0) == 0
 
 
 # Top-field generators of the benchmark's cold-build towers.
@@ -343,10 +393,11 @@ def test_generator_is_the_smallest_primitive_element(p, m, n, g, h):
 
 def test_generator_search_tests_the_norm_first(monkeypatch):
     """g^(order/r) = N(g)^((s - 1)/r) for the primes r of s - 1, with
-    N(g) = g^((s^d - 1)/(s - 1)) in the ground: one power per candidate
-    and lookups in the ground replace a power per such prime.  Testing
-    every prime by its own power made 1511, 1094 and 1127 products on
-    these cold builds."""
+    N(g) = g^((s^d - 1)/(s - 1)) in the ground: one resultant per
+    candidate, which makes no product in the field, and lookups in the
+    ground replace a power per such prime.  Testing every prime by its
+    own power made 1511, 1094 and 1127 products on these cold builds,
+    and the norm as a power 1036, 894 and 933."""
     calls = 0
     raw_mul = gf_core._ExtField._raw_mul
 
@@ -356,8 +407,8 @@ def test_generator_search_tests_the_norm_first(monkeypatch):
         return raw_mul(self, a, b)
 
     monkeypatch.setattr(gf_core._ExtField, "_raw_mul", counting)
-    for params, bound in (((37, 1, 3), 1100), ((3, 5, 2), 950),
-                          ((2, 8, 2), 1000)):
+    for params, bound in (((37, 1, 3), 150), ((3, 5, 2), 60),
+                          ((2, 8, 2), 120)):
         make_tower.cache_clear()
         calls = 0
         t = make_tower(*params)
@@ -402,15 +453,20 @@ def test_char2_trace_table_shares_the_middle_fields_int_objects():
 
 def test_generator_search_skips_the_ground(monkeypatch):
     """A ground element's order divides s - 1, so an extension of degree
-    d > 1 tries no candidate below s; a degree-1 field starts at 2."""
+    d > 1 tries no candidate below s; a degree-1 field starts at 2.  A
+    candidate is taken by the norm test (_norm) when s > 2, and by the
+    power test (_raw_pow) otherwise or when it passes."""
     tried = []
-    raw_pow = gf_core._ExtField._raw_pow
+    norm, raw_pow = gf_core._ExtField._norm, gf_core._ExtField._raw_pow
 
-    def recording(self, a, e):
-        tried.append((self.degree, self.ground.size, a))
-        return raw_pow(self, a, e)
+    def recording(method):
+        def record(self, a, *args):
+            tried.append((self.degree, self.ground.size, a))
+            return method(self, a, *args)
+        return record
 
-    monkeypatch.setattr(gf_core._ExtField, "_raw_pow", recording)
+    monkeypatch.setattr(gf_core._ExtField, "_norm", recording(norm))
+    monkeypatch.setattr(gf_core._ExtField, "_raw_pow", recording(raw_pow))
     for params in ((3, 2, 2), (2, 4, 2), (5, 1, 3), (13, 1, 2), (2, 3, 1)):
         make_tower.cache_clear()
         make_tower(*params)
@@ -557,6 +613,11 @@ def test_constructor_validation():
         make_tower(3, 1, 2, h=(5, 0, 1))
     with pytest.raises(InvalidModulus):
         make_tower(3, 2, 2, g=(5, 1, 1))
+    # A modulus that is no sequence at all raised a bare TypeError.
+    with pytest.raises(InvalidModulus, match="h must be 3 int coefficients"):
+        make_tower(3, 1, 2, h=5)
+    with pytest.raises(InvalidModulus, match="g must be 3 int coefficients"):
+        make_tower(3, 2, 2, g=7)
     # A float coefficient is no encoding, even when it equals the
     # coefficient of a tower that is already cached.
     make_tower(3, 2, 2, g=(2, 1, 1))
