@@ -40,6 +40,10 @@ In odd characteristic addition runs on the same tables through Zech
 logarithms, zech[k] = log(1 + g^k): a + b = a * (1 + b/a) is one
 lookup each in log, zech and exp, and -a = g^((size-1)/2) * a.
 Characteristic 2 adds by XOR of encodings.
+The log table is one pass over exp: the exponents 1 .. size - 2 are
+also nonzero encodings, so log[exp[v]] = v writes each exponent as the
+int object exp already holds for the encoding v, not a new one, and
+log[1] = 0 comes last.
 The Frobenius table of the top field and the Zech table are each one
 loop over strided slices of the tables, read in order: multiplying an
 exponent by q modulo q^n - 1 rotates its base-q digits, so the q-th
@@ -49,10 +53,12 @@ slices of log at stride p.  The trace is F_q-linear, so its table grows
 block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k), from the n
 conjugate sums Tr(v^k): each block is an earlier one read through a row
 of q middle-field ints, y -> y + u^j Tr(v^k), so the table shares the
-middle field's int objects in either characteristic.  Every
-table is built without a second list of its size beside it.  A tower of
-size q^n costs O(q^n) time and memory; make_tower refuses to build
-towers larger than the size budget.
+middle field's int objects in either characteristic.  Frobenius
+entries are exp's int objects and Zech entries log's, so the tables of
+a field hold one int object per element.  Every table is built without
+a second list of its size beside it.  A tower of size q^n costs O(q^n)
+time and memory; make_tower refuses to build towers larger than the
+size budget.
 """
 
 from functools import lru_cache, partial
@@ -350,9 +356,12 @@ class _ExtField:
         exp.extend(_Sized(chain(chain.from_iterable(scaled),
                                 islice(exp, order - 1)),
                           2 * order - 1 - len(exp)))
+        # exp's first order entries are the encodings 1 .. order, so each
+        # exponent is exp's own int; v = order writes log[1], reset last.
         log = [None] * self.size
-        for i, x in enumerate(islice(exp, order)):
-            log[x] = i
+        for v in islice(exp, order):
+            log[exp[v]] = v
+        log[1] = 0
         self._exp = exp
         self._log = log
 

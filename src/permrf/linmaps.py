@@ -18,7 +18,7 @@ inverse Moore matrix over the top field.
 from dataclasses import dataclass, field
 
 from . import _linalg
-from .errors import NotABasis, NotBijective, UsageError
+from .errors import LevelMismatch, NotABasis, NotBijective, UsageError
 from .gf_core import FieldTower, _check_enc
 
 
@@ -58,8 +58,14 @@ class LinearizedPoly:
         return acc
 
 
+def _check_map(L, what="L"):
+    if not isinstance(L, LinearizedPoly):
+        raise UsageError(f"{what} must be a LinearizedPoly, not {L!r}")
+
+
 def matrix_of(L):
     """n x n matrix over F_q sending power-basis coordinates through L."""
+    _check_map(L)
     tower = L.tower
     n, q = tower.n, tower.q
     cols = [tower.top.digits(L.eval_enc(q ** j), n) for j in range(n)]
@@ -72,6 +78,10 @@ def compose(outer, inner):
     a_i (b_j x^(q^j))^(q^i) = a_i b_j^(q^i) x^(q^(i+j)); LinearizedPoly
     folds the exponents i + j >= n back modulo n.
     """
+    _check_map(outer, "outer")
+    _check_map(inner, "inner")
+    if outer.tower is not inner.tower:
+        raise LevelMismatch("maps are built on different towers")
     tower = outer.tower
     top = tower.top
     n = tower.n
@@ -87,6 +97,7 @@ def rank_kernel_image(L):
     """(rank, kernel basis, image basis); bases are ascending encodings.
     The image basis is reduced echelon: each element's lowest nonzero
     base-q digit is 1, and every other element's digit there is 0."""
+    _check_map(L)
     tower = L.tower
     m = matrix_of(L)
     kernel = [tower.top.undigits(v) for v in _linalg.nullspace(tower.mid, m)]
@@ -104,6 +115,7 @@ def invert_lin(L):
     Dickson matrix D[j][k] = a_((k-j) mod n)^(q^j); D is singular exactly
     when L is.  Row j + 1 is row j shifted right and raised to the q.
     """
+    _check_map(L)
     tower = L.tower
     frob = tower.frob_table
     rows = [list(L.coeffs)]
@@ -158,6 +170,7 @@ def trace_decompose(L):
     that digit is Tr(d_k L(x)) = Tr(L*(d_k) x) with (d_k) the dual of the
     power basis: beta_i = L*(d_k).
     """
+    _check_map(L)
     tower = L.tower
     n = tower.n
     _, _, image = rank_kernel_image(L)

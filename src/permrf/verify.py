@@ -195,6 +195,8 @@ def _run(entries, seed, workers, size_budget, samples):
     if not isinstance(samples, int) or samples < 0:
         raise UsageError(f"samples must be an int of at least 0, "
                          f"not {samples!r}")
+    if type(seed) is not int:
+        raise UsageError(f"seed must be an int, not {seed!r}")
     budget = _size_budget(size_budget)
     checked = [(suite, _fields(suite, qs, mode, budget), mode)
                for suite, qs, mode in entries]

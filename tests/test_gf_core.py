@@ -418,17 +418,24 @@ def test_generator_search_tests_the_norm_first(monkeypatch):
 
 @pytest.mark.parametrize("params", [(3, 5, 2), (2, 8, 2)])
 def test_tables_share_the_exp_and_log_int_objects(params):
-    """Frobenius entries are the exp table's int objects, and Zech entries
-    the log table's: the tables hold references, not ints of their own.
-    Both fields have values above 256, which CPython does not share."""
+    """Log entries are the exp table's int objects, an exponent v being
+    the object exp holds for the encoding v; log[1] = 0 is the one
+    exponent that is no nonzero encoding.  Frobenius entries are exp's
+    objects and Zech entries log's, so every table of the field points at
+    one int per element.  Both fields have values above 256, which
+    CPython does not share."""
     make_tower.cache_clear()
     t = make_tower(*params)
     exp_ids = {id(x) for x in t.top._exp}
+    assert t.top._log[1] == 0
+    assert all(id(k) in exp_ids for k in t.top._log[2:])
     assert t.frob_table[0] == 0
     assert all(id(y) in exp_ids for y in t.frob_table[1:])
     if t.p != 2:
         log_ids = {id(k) for k in t.top._log}
-        assert all(id(z) in log_ids for z in t.top._zech if z is not None)
+        zech = [z for z in t.top._zech if z is not None]
+        assert all(id(z) in log_ids for z in zech)
+        assert all(id(z) in exp_ids for z in zech)
 
 
 def test_trace_table_shares_the_middle_fields_int_objects():
@@ -479,7 +486,13 @@ def test_generator_search_skips_the_ground(monkeypatch):
 def test_cold_build_transient_memory(params):
     """Building a tower's tables holds at most one list of size
     references beyond the tables it keeps.  At q = 2 the Frobenius
-    table reads exp at stride 2, the widest of its strided slices."""
+    table reads exp at stride 2, the widest of its strided slices.
+
+    The tables keep 72 B per element in characteristic 2 (exp's 16 B of
+    references, 8 B each for log, Frobenius and trace, and one 32 B int)
+    and 80 B on 3^5:2 (Zech's 8 B more).  The bound, 90 B, leaves 10 B of
+    margin; a second int per element, as when log made its own exponents,
+    kept 100 and 109 B."""
     make_tower.cache_clear()
     tracemalloc.start()
     try:
@@ -489,7 +502,7 @@ def test_cold_build_transient_memory(params):
     finally:
         tracemalloc.stop()
     assert peak - kept <= 8 * t.size
-    assert kept - before > 8 * 5 * t.size
+    assert 8 * 5 * t.size < kept - before <= 90 * t.size
 
 
 @pytest.mark.parametrize("params, rebuild", [

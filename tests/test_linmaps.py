@@ -18,7 +18,7 @@ from permrf import (
     rank_kernel_image,
     trace_decompose,
 )
-from permrf.errors import NotBijective, OutOfRange, UsageError
+from permrf.errors import LevelMismatch, NotBijective, OutOfRange, UsageError
 
 
 def test_constructors_and_identity():
@@ -88,6 +88,31 @@ def test_compose_matches_pointwise():
             fg = compose(f, g)
             for x in range(t.size):
                 assert fg.eval_enc(x) == f.eval_enc(g.eval_enc(x))
+
+
+def test_compose_refuses_maps_from_different_towers():
+    """An encoding of one tower means another element, or none, in
+    another: 3^2:2's 13 is outside 3:2, which has 9 elements."""
+    big, small = make_tower(3, 2, 2), make_tower(3, 1, 2)
+    f = LinearizedPoly(big, (13, 1))
+    g = LinearizedPoly(small, (2, 1))
+    for outer, inner in ((f, g), (g, f)):
+        with pytest.raises(LevelMismatch):
+            compose(outer, inner)
+
+
+def _identity():
+    return LinearizedPoly.identity(make_tower(3, 1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    matrix_of, rank_kernel_image, invert_lin, trace_decompose,
+    lambda x: compose(x, _identity()), lambda x: compose(_identity(), x),
+])
+@pytest.mark.parametrize("not_a_map", [(1, 0), None, 5])
+def test_map_functions_refuse_what_is_not_a_map(call, not_a_map):
+    with pytest.raises(UsageError, match="must be a LinearizedPoly"):
+        call(not_a_map)
 
 
 def test_rank_kernel_image_frozen():

@@ -383,6 +383,16 @@ def test_run_suite_validation():
         run_suite("theorem-n2", (2.0,))
 
 
+@pytest.mark.parametrize("seed", ["a", 1.5, True, None])
+def test_run_suite_refuses_a_seed_that_is_not_an_int(seed):
+    """The report schema types the seed as an integer, so a seed of any
+    other type, bool included, is refused before it reaches a report."""
+    with pytest.raises(UsageError, match="seed must be an int"):
+        run_suite("theorem-n2", (3,), seed=seed)
+    with pytest.raises(UsageError, match="seed must be an int"):
+        run_battery(seed=seed)
+
+
 def test_registry_and_defaults():
     for name, suite in SUITES.items():
         if name != "lemma-equiv":
