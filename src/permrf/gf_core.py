@@ -49,11 +49,13 @@ loop over strided slices of the tables, read in order: multiplying an
 exponent by q modulo q^n - 1 rotates its base-q digits, so the q-th
 powers of g^0, g^1, ... are exp at stride q, and adding 1 steps an
 encoding's lowest base-p digit, so zech[log x] = log(x + 1) pairs
-slices of log at stride p.  The trace is F_q-linear, so its table grows
-block by block, Tr(rest + a v^k) = Tr(rest) + a Tr(v^k), from the n
-conjugate sums Tr(v^k): each block is an earlier one read through a row
-of q middle-field ints, y -> y + u^j Tr(v^k), so the table shares the
-middle field's int objects in either characteristic.  Frobenius
+slices of log at stride p.  The trace table and each chunk table of the
+step are tables of F_p-linear maps, and both grow one base-p digit at a
+time (_linear_table): the entries with top digit t are those with t - 1
+read through the digit's adder.  The trace's adder for the digit
+u^j v^k is a row of q middle-field ints, y -> y + u^j Tr(v^k), from the
+n conjugate sums Tr(v^k), so the table shares the middle field's int
+objects in either characteristic.  Frobenius
 entries are exp's int objects and Zech entries log's, so the tables of
 a field hold one int object per element.  Every table is built without
 a second list of its size beside it.  A tower of size q^n costs O(q^n)
@@ -120,6 +122,24 @@ def _strided(table, start, stop, stride):
     step = stride * _MAX_SLICE
     return chain.from_iterable(table[lo:min(lo + step, stop):stride]
                                for lo in range(start, stop, step))
+
+
+def _linear_table(p, adders, zero):
+    """The table, in encoding order, of an F_p-linear map on encodings of
+    len(adders) base-p digits, with zero at 0.  adders[i] adds the image
+    of p^i, so the entries t * p^i + x for x < p^i and 1 <= t < p are the
+    entries (t - 1) * p^i + x passed through it: the table grows one
+    base-p digit at a time, each block read from the one before it."""
+    def blocks():
+        width = 1
+        for adder in adders:
+            for lo in range(0, (p - 1) * width, width):
+                yield map(adder, _strided(table, lo, lo + width, 1))
+            width *= p
+
+    table = [zero]
+    table.extend(_Sized(chain.from_iterable(blocks()), p ** len(adders) - 1))
+    return table
 
 
 class _PrimeField:
@@ -225,8 +245,11 @@ def _is_irreducible(k, f):
     return True
 
 
-def _canonical_modulus(k, d):
-    """Smallest monic irreducible of degree d over k, by coefficient code."""
+@lru_cache(maxsize=None)
+def _canonical(p, d, g=None):
+    """Smallest monic irreducible of degree d, by coefficient code, over
+    F_p, or over the middle field F_p[u]/(g) when g is given."""
+    k = _PrimeField(p) if g is None else _mid_field(p, g)
     s = k.size
     for code in range(s ** d):
         coeffs = []
@@ -446,10 +469,10 @@ class _ExtField:
         lookup per chunk, summed by XOR in characteristic 2 and digit by
         digit in the ground field otherwise.  Returns radix and, per chunk
         j, (x_j * radix^j) * gen for every chunk value x_j: encodings in
-        characteristic 2, else ground digits high to low.  One polynomial
-        product per digit, added p - 1 times to the lower digits' images,
-        makes the chunk's.  The chunks are as even as _MAX_CHUNK allows,
-        and one digit each when p alone exceeds it.
+        characteristic 2, else ground digits high to low.  Each chunk's
+        images are a linear table (_linear_table) grown from one
+        polynomial product per digit.  The chunks are as even as
+        _MAX_CHUNK allows, and one digit each when p alone exceeds it.
         """
         p, d, digits = self.char, self.degree, 0
         while p ** digits < self.size:
@@ -459,23 +482,17 @@ class _ExtField:
             widest += 1
         width = -(-digits // -(-digits // widest))
         products = [self._raw_mul(p ** i, gen) for i in range(digits)]
-        plus, zero = xor, 0
-        if p != 2:
+        if p == 2:
+            adders, zero = [partial(xor, b) for b in products], 0
+        else:
             add, zero = self.ground.add, (0,) * d
-            products = [tuple(reversed(self.digits(y, d))) for y in products]
 
-            def plus(y, b):
+            def plus(b, y):
                 return tuple(map(add, y, b))
-        images = []
-        for lo in range(0, digits, width):
-            img = [zero]
-            for b in products[lo:lo + width]:
-                block = img
-                for _ in range(p - 1):
-                    block = list(map(plus, block, repeat(b)))
-                    img += block
-            images.append(img)
-        return p ** width, images
+            adders = [partial(plus, tuple(reversed(self.digits(b, d))))
+                      for b in products]
+        return p ** width, [_linear_table(p, adders[lo:lo + width], zero)
+                            for lo in range(0, digits, width)]
 
     def _build_zech(self):
         """zech[k] = log(1 + g^k), None where 1 + g^k = 0.
@@ -621,8 +638,13 @@ def _check_bc(tower, b, c):
 
 def _size_budget(size_budget):
     """The budget a tower built with size_budget carries:
-    DEFAULT_SIZE_BUDGET for None."""
-    return DEFAULT_SIZE_BUDGET if size_budget is None else size_budget
+    DEFAULT_SIZE_BUDGET for None.  Any other budget must be an int: 1.0
+    and True hash as 1, so they would share a cached tower's key."""
+    if size_budget is None:
+        return DEFAULT_SIZE_BUDGET
+    if type(size_budget) is not int:
+        raise UsageError(f"size budget must be an int, not {size_budget!r}")
+    return size_budget
 
 
 def _check_budget(work, budget, what):
@@ -636,14 +658,13 @@ def _check_budget(work, budget, what):
 def _check_tower_params(p, m, n, budget):
     """Cheap checks first: types before any cache sees them (1.0 and True
     hash as 1), the size before p is factored, and p^(m*n) only once m*n
-    is below the budget's bit length, which p >= 2 makes a bound."""
+    is below the budget's bit length, which p >= 2 makes a bound.  The
+    budget is an int already (_size_budget)."""
     if not isinstance(p, int) or p < 2:
         raise NotPrime(f"characteristic {p} is not prime")
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         raise DegreeZero(f"extension degrees must be ints of at least 1, "
                          f"not m={m!r}, n={n!r}")
-    if type(budget) is not int:
-        raise UsageError(f"size budget must be an int, not {budget!r}")
     e, k = m * n, budget.bit_length()
     if e >= k:
         _check_budget(1 << k, budget, f"{p}^{e} >= 2^{k}")
@@ -699,45 +720,24 @@ class FieldTower:
         self.frob_table = frob
 
     def _build_trace(self):
-        """Tr is F_q-linear: the entry for x = rest + a * v^k, rest < q^k,
-        is Tr(rest) + a * Tr(v^k), from the traces of v^k, each a sum of
-        conjugates.  With p^j the largest power of p dividing a, a is
-        (a - p^j) + u^j, so the block of q^k entries for (k, a) is the
-        block for (k, a - p^j) read through the q-entry row
-        y -> y + u^j * Tr(v^k): m rows per k, one lookup per entry.  The
-        rows hold the middle field's own int objects, so the table holds
-        at most q distinct ints."""
-        frob, p, q = self.frob_table, self.p, self.q
-        top, mid = self.top, self.mid
-        traces = []
+        """Tr is F_q-linear, so its table is a linear table
+        (_linear_table): the base-p digit u^j * v^k of a top encoding adds
+        u^j * Tr(v^k), Tr(v^k) a sum of conjugates, through the q-entry
+        row y -> y + u^j * Tr(v^k), one lookup per entry.  The rows hold
+        the middle field's own int objects, so the table holds at most q
+        distinct ints."""
+        frob, p, q, mid = self.frob_table, self.p, self.q, self.mid
+        canon = [0, *map(mid._exp.__getitem__, islice(mid._log, 1, q))]
+        rows = []
         for k in range(self.n):
             tr_vk = t = q ** k
             for _ in range(self.n - 1):
                 t = frob[t]
-                tr_vk = top.add(tr_vk, t)
-            traces.append(tr_vk)
-        canon = [0, *map(mid._exp.__getitem__, islice(mid._log, 1, q))]
-        steps = [p ** j for j in range(self.m)]
-
-        def blocks():
-            for k, tr_vk in enumerate(traces):
-                width = q ** k
-                rows = {}
-                for step in steps:
-                    sums = map(mid.add, range(q), repeat(mid.mul(step, tr_vk)))
-                    rows[step] = list(map(canon.__getitem__, sums))
-                for a in range(1, q):
-                    step = 1
-                    while a % (step * p) == 0:
-                        step *= p
-                    # The block for (k, a - step) is already in the table.
-                    lo = (a - step) * width
-                    yield map(rows[step].__getitem__,
-                              _strided(table, lo, lo + width, 1))
-
-        table = [0]
-        table.extend(_Sized(chain.from_iterable(blocks()), self.size - 1))
-        self.trace_table = table
+                tr_vk = self.top.add(tr_vk, t)
+            for j in range(self.m):
+                sums = map(mid.add, range(q), repeat(mid.mul(p ** j, tr_vk)))
+                rows.append(list(map(canon.__getitem__, sums)).__getitem__)
+        self.trace_table = _linear_table(p, rows, 0)
 
     def __reduce__(self):
         return make_tower, (self.p, self.m, self.n, self.mid.modulus,
@@ -812,17 +812,6 @@ def _mid_field(p, g):
     return _ExtField(_PrimeField(p), g)
 
 
-@lru_cache(maxsize=None)
-def _canonical_g(p, m):
-    return _canonical_modulus(_PrimeField(p), m)
-
-
-@lru_cache(maxsize=None)
-def _canonical_h(p, n, g):
-    """The canonical top modulus over the middle field F_p[u]/(g)."""
-    return _canonical_modulus(_mid_field(p, g), n)
-
-
 def _explicit_modulus(f, degree, s, name):
     """f as a tuple, once it is a monic polynomial of the degree over the
     field of s elements.  2.0 and True equal 2 and 1: let in, they would
@@ -855,14 +844,14 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     """
     budget = _size_budget(size_budget)
     _check_tower_params(p, m, n, budget)
-    g = _canonical_g(p, m) if g is None else _explicit_modulus(g, m, p, "g")
-    h = (_canonical_h(p, n, g) if h is None
+    g = _canonical(p, m) if g is None else _explicit_modulus(g, m, p, "g")
+    h = (_canonical(p, n, g) if h is None
          else _explicit_modulus(h, n, p ** m, "h"))
     return _cached_tower(p, m, n, g, h, budget)
 
 
 def _clear_caches():
-    for cache in (_cached_tower, _canonical_h, _canonical_g, _mid_field):
+    for cache in (_cached_tower, _canonical, _mid_field):
         cache.cache_clear()
 
 

@@ -136,6 +136,9 @@ def dual_basis(tower, basis):
     raised, exactly when the w_j are dependent over F_q.
     """
     n = tower.n
+    if not hasattr(basis, "__iter__"):
+        raise UsageError(f"basis must be a sequence of encodings, "
+                         f"not {basis!r}")
     encs = list(basis)
     if len(encs) != n:
         raise NotABasis(f"need exactly {n} elements, got {len(encs)}")

@@ -176,6 +176,8 @@ def _fields(suite, qs, mode, budget):
             raise UsageError(f"{suite.name} takes no mode")
         raise UsageError(f"{suite.name} mode must be "
                          f"{' or '.join(suite.modes)}, not {mode}")
+    if qs is not None and not hasattr(qs, "__iter__"):
+        raise UsageError(f"qs must be a sequence of prime powers, not {qs!r}")
     if not suite.default_qs:
         if qs:
             raise UsageError(f"{suite.name} chooses its own fields; drop the q")
@@ -192,7 +194,7 @@ def _fields(suite, qs, mode, budget):
 def _run(entries, seed, workers, size_budget, samples):
     """Every report of the (suite, qs, mode) entries, in order, from one
     map_ordered call over all of their jobs."""
-    if not isinstance(samples, int) or samples < 0:
+    if type(samples) is not int or samples < 0:
         raise UsageError(f"samples must be an int of at least 0, "
                          f"not {samples!r}")
     if type(seed) is not int:
@@ -380,6 +382,9 @@ def _case_equiv(tower, b, c=None):
 
 
 def _plan_lemma_equiv(q, p, m, mode, seed, budget, samples):
+    # One job per sample: the count is work the budget bounds, refused
+    # before any tower is built or any job planned.
+    _check_budget(samples, budget, "lemma-equiv samples")
     jobs = []
     for field in _EQUIV_EXHAUSTIVE:
         tower = make_tower(*field, size_budget=budget)

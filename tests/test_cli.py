@@ -82,6 +82,25 @@ def test_check_with_linear_part(capsys):
     assert payload["verdict"] is True
 
 
+@pytest.mark.parametrize("L", [(), ("--L", "0,1"), ("--L", "4,0")])
+@pytest.mark.parametrize("c", ["1", "2", "5"])
+def test_check_reduced_agrees_with_pairwise(capsys, L, c):
+    """The identity and two invertible maps, x^q and (v + 1) * x."""
+    payloads = []
+    for method in ("reduced", "pairwise"):
+        code, out, _ = run_cli(capsys, "check", "--field", "3:2", "--b", "3",
+                               "--c", c, *L, "--method", method)
+        assert code == 0
+        payloads.append(json.loads(out))
+        check_schema(payloads[-1])
+    reduced, pairwise = payloads
+    assert reduced["method"] == "reduced"
+    assert reduced["witness"] is None
+    assert ((reduced["verdict"], reduced["normalized_c"])
+            == (pairwise["verdict"], pairwise["normalized_c"]))
+    assert (reduced["normalized_c"] is None) == (L == ())
+
+
 def test_check_singular_L_requires_direct(capsys):
     code, _, err = run_cli(capsys, "check", "--field", "3:2", "--b", "3",
                            "--c", "1", "--L", "2,1", "--method", "pairwise")
@@ -160,6 +179,24 @@ def test_factor_command(capsys):
     check_schema(payload)
     assert payload["found"] is False
     assert payload["beta"] is None
+
+
+def test_factor_and_classify_on_a_degree_4_tower(capsys):
+    """No curve and no closed form exist at n = 4: factor is refused, and
+    classify lists the permuting c with a null closed form."""
+    code, out, err = run_cli(capsys, "factor", "--field", "2:4",
+                             "--b", "2", "--c", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "detail": "factor curves exist for degree 2 and 3 towers only"}
+    code, out, _ = run_cli(capsys, "classify", "--field", "2:4", "--b", "2")
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload)
+    (entry,) = payload["results"]
+    assert entry == {"b": 2, "permuting_c": [1, 6, 7, 10, 11, 12, 13],
+                     "closed_form_c": None, "matches_closed_form": False}
 
 
 def test_points_command(capsys):
@@ -331,6 +368,15 @@ def test_verify_suite_all_rejects_q(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--q", "3")
     assert code == 2
     assert json.loads(err)["error"] == "UsageError"
+
+
+def test_verify_suite_all_rejects_mode(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                             "--mode", "exhaustive")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "detail": "--suite all runs fixed defaults; drop --mode"}
 
 
 def test_verify_unknown_suite_is_parse_error(capsys):

@@ -34,6 +34,7 @@ from permrf.errors import (
     BInBaseField,
     BZero,
     DegreeZero,
+    DivisionByZero,
     InvalidModulus,
     NonDivisorDegrees,
     NotABasis,
@@ -631,6 +632,11 @@ def test_constructor_validation():
         make_tower(3, 1, 2, h=5)
     with pytest.raises(InvalidModulus, match="g must be 3 int coefficients"):
         make_tower(3, 2, 2, g=7)
+    # A leading coefficient other than 1 is refused, not normalised.
+    with pytest.raises(InvalidModulus, match="g must be monic"):
+        make_tower(3, 2, 2, g=(2, 1, 2))
+    with pytest.raises(InvalidModulus, match="h must be monic"):
+        make_tower(3, 1, 2, h=(1, 0, 2))
     # A float coefficient is no encoding, even when it equals the
     # coefficient of a tower that is already cached.
     make_tower(3, 2, 2, g=(2, 1, 1))
@@ -660,6 +666,16 @@ def test_constructor_validation():
             with pytest.raises(error):
                 make_tower(*args, **kwargs)
         assert make_tower(3, 1, 2).field_spec == "3^1:2"
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 2), (5, 1, 3)])
+def test_zero_has_no_inverse(p, m, n):
+    t = make_tower(p, m, n)
+    for level in (t.base, t.mid, t.top):
+        with pytest.raises(DivisionByZero, match="inverse of 0"):
+            level.inv(0)
+    with pytest.raises(DivisionByZero, match="negative power of 0"):
+        t.top.pow(0, -1)
 
 
 def test_degree_and_power_arguments_must_be_ints():
@@ -781,6 +797,10 @@ def test_dual_basis_rejects_dependent_sets():
     for bad in (-3, 9):
         with pytest.raises(OutOfRange):
             dual_basis(t, (1, bad))
+    # A basis that is no sequence at all raised a bare TypeError.
+    for bad in (9, None):
+        with pytest.raises(UsageError, match="basis must be a sequence"):
+            dual_basis(t, bad)
 
 
 def test_basis_det_f8():

@@ -21,7 +21,8 @@ from permrf import (
     run_battery,
     run_suite,
 )
-from permrf.errors import EvenCharacteristic, NotPrime, UsageError
+from permrf.errors import (EvenCharacteristic, NotPrime, SizeBudgetExceeded,
+                           UsageError)
 from permrf.gf_core import DEFAULT_SIZE_BUDGET
 from permrf.verify import (
     BATTERY,
@@ -391,6 +392,48 @@ def test_run_suite_refuses_a_seed_that_is_not_an_int(seed):
         run_suite("theorem-n2", (3,), seed=seed)
     with pytest.raises(UsageError, match="seed must be an int"):
         run_battery(seed=seed)
+
+
+@pytest.mark.parametrize("samples", [True, False])
+def test_run_suite_refuses_a_bool_samples_count(samples):
+    """True ran the same cases as samples=1, and False as samples=0."""
+    with pytest.raises(UsageError, match="samples must be an int"):
+        run_suite("lemma-equiv", samples=samples)
+
+
+def test_lemma_equiv_samples_are_bounded_by_the_budget(monkeypatch):
+    """One job per sample: a count over the budget is refused before any
+    tower is built or any job planned.  27 is the smallest budget that
+    the exhaustive towers (up to 3:3) fit."""
+    (r,) = run_suite("lemma-equiv", samples=27, size_budget=27)
+    assert (r.cases_total, r.verdict, r.size_budget) == (1380 + 27, "pass", 27)
+    built = []
+    monkeypatch.setattr(verify, "make_tower",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(SizeBudgetExceeded,
+                       match="lemma-equiv samples = 28 is over the size "
+                             "budget 27"):
+        run_suite("lemma-equiv", samples=28, size_budget=27)
+    assert built == []
+
+
+@pytest.mark.parametrize("size_budget", ["3", True, 2.5])
+def test_run_suite_refuses_a_budget_that_is_not_an_int(size_budget):
+    """make_tower's rule: "3" raised a bare TypeError, and True and 2.5
+    were compared as budgets and named in SizeBudgetExceeded."""
+    with pytest.raises(UsageError, match="size budget must be an int"):
+        run_suite("theorem-n2", (3,), size_budget=size_budget)
+    with pytest.raises(UsageError, match="size budget must be an int"):
+        run_suite("lemma-equiv", samples=0, size_budget=size_budget)
+    with pytest.raises(UsageError, match="size budget must be an int"):
+        make_tower(3, 1, 2, size_budget=size_budget)
+
+
+@pytest.mark.parametrize("name,qs", [("theorem-n2", 9), ("lemma-equiv", 0)])
+def test_run_suite_refuses_qs_that_are_not_iterable(name, qs):
+    """9 raised a bare TypeError; lemma-equiv ran with qs=0."""
+    with pytest.raises(UsageError, match="qs must be a sequence"):
+        run_suite(name, qs)
 
 
 def test_registry_and_defaults():
