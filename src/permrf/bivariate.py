@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 from .errors import (DegreeTooSmall, LevelMismatch, UnsupportedDegree,
                      UsageError, WrongDegree)
-from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc, _power,
-                      _render_terms)
+from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc,
+                      _check_tower, _power, _render_terms)
 
 
 def _trim(grid):
@@ -64,6 +64,7 @@ class BivarPoly:
     def __post_init__(self):
         """Refuse a grid that is not rows, is empty or ragged, or holds an
         entry that is not a top encoding."""
+        _check_tower(self.tower)
         grid = self.grid
         if (not isinstance(grid, (tuple, list)) or not grid
                 or not all(isinstance(row, (tuple, list)) for row in grid)
@@ -106,6 +107,11 @@ class BivarPoly:
             self.tower.pretty_enc)
 
 
+def _check_poly(f):
+    if not isinstance(f, BivarPoly):
+        raise UsageError(f"f must be a BivarPoly, not {f!r}")
+
+
 def bilinear(tower, xy, x, y, const):
     """xy*XY + x*X + y*Y + const."""
     return BivarPoly(tower, ((const, y), (x, xy)))
@@ -139,6 +145,7 @@ def apply_sigma(f, i=1):
 
 
 def norm_poly(f):
+    _check_poly(f)
     out = f
     for i in range(1, f.tower.n):
         out = mul(out, apply_sigma(f, i))
@@ -146,6 +153,7 @@ def norm_poly(f):
 
 
 def eval_poly(f, x, y):
+    _check_poly(f)
     _check_enc(f.tower, x, "x")
     _check_enc(f.tower, y, "y")
     top = f.tower.top
@@ -208,6 +216,7 @@ def build_f3_kernel(tower, b, c):
 
 def count_offdiag_points(f):
     """Ordered pairs (x0, y0) in F_q^2 with x0 != y0 and f(x0, y0) = 0."""
+    _check_poly(f)
     q = f.tower.q
     count = 0
     for x0 in range(q):
@@ -256,6 +265,7 @@ def conjugate_factor_search(f):
     The first verified triple in ascending (beta, gamma, delta) order
     wins, so the result is deterministic.
     """
+    _check_poly(f)
     tower = f.tower
     n = tower.n
     _check_budget(tower.size ** 3, tower.size_budget,

@@ -613,6 +613,11 @@ def _poly_text(ops, var, enc, render=str):
                           reversed(list(enumerate(ops.digits(enc))))), render)
 
 
+def _check_tower(tower):
+    if not isinstance(tower, FieldTower):
+        raise UsageError(f"tower must be a FieldTower, not {tower!r}")
+
+
 def _check_enc(tower, a, name):
     """Refuse an a that is not a top encoding: an int below tower.size."""
     if not isinstance(a, int) or not 0 <= a < tower.size:
@@ -840,7 +845,8 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     budget, g and h spelled out, before the cache lookup: spelling out
     the default budget, the canonical g, or the canonical h over the
     chosen middle field returns the same tower as leaving them out.
-    cache_clear also forgets the middle fields and canonical moduli.
+    cache_clear also forgets the middle fields, the canonical moduli and
+    every memo keyed by a tower (_tower_memos).
     """
     budget = _size_budget(size_budget)
     _check_tower_params(p, m, n, budget)
@@ -850,8 +856,14 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     return _cached_tower(p, m, n, g, h, budget)
 
 
+# Memos keyed by a tower in the modules above this one, each added once
+# at their import; cache_clear clears them with the tower cache, so a
+# tower it forgets is not kept alive by a pair scan or a level set.
+_tower_memos = []
+
+
 def _clear_caches():
-    for cache in (_cached_tower, _canonical, _mid_field):
+    for cache in (_cached_tower, _canonical, _mid_field, *_tower_memos):
         cache.cache_clear()
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import _linalg
 from .errors import LevelMismatch, NotABasis, NotBijective, UsageError
-from .gf_core import FieldTower, _check_enc
+from .gf_core import FieldTower, _check_enc, _check_tower
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class LinearizedPoly:
     coeffs: tuple
 
     def __post_init__(self):
+        _check_tower(self.tower)
         if not isinstance(self.coeffs, (tuple, list)):
             raise UsageError(f"coefficients must be a tuple or list of "
                              f"encodings, not {self.coeffs!r}")

@@ -73,7 +73,8 @@ from .errors import (
     UnsupportedDegree,
     UsageError,
 )
-from .gf_core import FieldTower, _check_b, _check_bc, _check_budget, _check_enc
+from .gf_core import (FieldTower, _check_b, _check_bc, _check_budget,
+                      _check_enc, _check_tower, _tower_memos)
 from .linmaps import LinearizedPoly, _adjoint, invert_lin, rank_kernel_image
 
 
@@ -84,9 +85,13 @@ class RatFuncSpec:
     tower: FieldTower = field(repr=False)
     b: int
     c: int
-    L: Optional[LinearizedPoly] = None
+    # A string: typing caches an Optional it makes for the process, and
+    # that would keep linmaps, gf_core and every cached tower alive
+    # after the package's modules are dropped.
+    L: "Optional[LinearizedPoly]" = None
 
     def __post_init__(self):
+        _check_tower(self.tower)
         _check_bc(self.tower, self.b, self.c)
         if self.L is None:
             object.__setattr__(self, "L", LinearizedPoly.identity(self.tower))
@@ -290,6 +295,9 @@ def _level_set(tower, target):
             digits[order - 1 - k] = 49
     level = int(digits, 2)
     return level | level << order
+
+
+_tower_memos.extend((_pair_scan, _level_set))
 
 
 def _pair_free_c(tower, b, target):

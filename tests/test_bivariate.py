@@ -143,6 +143,8 @@ def test_symmetry_and_stability():
     assert apply_sigma(f, 1) == f
     lopsided = bilinear(t, 1, 3, 6, 0)
     assert not lopsided.is_symmetric()
+    # Bidegree (1, 0): unequal degrees are never symmetric.
+    assert not bilinear(t, 0, 1, 0, 0).is_symmetric()
     t3 = make_tower(2, 1, 3)
     assert build_f3(t3, 2, 5).is_symmetric()
     kernel_curve = build_f3_kernel(t3, 2, 5)
@@ -280,6 +282,8 @@ def test_factor_search_frozen():
     t = make_tower(3, 1, 2)
     assert conjugate_factor_search(build_f2(t, 3, 1)) == (3, 6, 0)
     assert conjugate_factor_search(build_f2(t, 3, 2)) is None
+    # Bidegree (1, 1): the X^2 Y^2 coefficient is 0, not 1.
+    assert conjugate_factor_search(bilinear(t, 1, 3, 6, 0)) is None
     t8 = make_tower(2, 1, 3)
     assert conjugate_factor_search(build_f3(t8, 2, 5)) == (2, 2, 1)
 
@@ -367,6 +371,20 @@ def test_factor_search_budget():
     f = build_f2(t, t.q, closed_form_c(t, t.q))
     with pytest.raises(SizeBudgetExceeded):
         conjugate_factor_search(f)
+
+
+@pytest.mark.parametrize("call", [
+    norm_poly, lambda f: eval_poly(f, 1, 1), count_offdiag_points,
+    conjugate_factor_search,
+], ids=["norm_poly", "eval_poly", "count_offdiag_points",
+        "conjugate_factor_search"])
+@pytest.mark.parametrize("not_a_poly", [5, None, ((1,),)],
+                         ids=["int", "None", "grid"])
+def test_curve_functions_refuse_what_is_not_a_curve(call, not_a_poly):
+    """Each raised a bare AttributeError, reading tower or grid off the
+    argument."""
+    with pytest.raises(UsageError, match="must be a BivarPoly"):
+        call(not_a_poly)
 
 
 def test_weil_threshold():

@@ -6,11 +6,13 @@ no shared code with the package.
 """
 
 import copy
+import gc
 import itertools
 import math
 import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,15 +23,18 @@ from permrf import (
     RatFuncSpec,
     basis_det_b,
     build_f2,
+    classify_c,
     dual_basis,
     eval_poly,
     eval_rf,
     gf_core,
     make_tower,
     matrix_of,
+    pairwise_criterion,
     ratfunc,
     trace_decompose,
 )
+from permrf.bivariate import BivarPoly
 from permrf.errors import (
     BInBaseField,
     BZero,
@@ -177,6 +182,7 @@ def test_f27_low_encodings_have_zero_trace():
 def test_field_spec_and_sizes():
     t = make_tower(2, 2, 3)
     assert t.field_spec == "2^2:3"
+    assert repr(t) == "FieldTower(2^2:3)"
     assert (t.p, t.m, t.n, t.q, t.size) == (2, 2, 3, 4, 64)
     assert t.base.size == 2
     assert t.mid.size == 4
@@ -666,6 +672,36 @@ def test_constructor_validation():
             with pytest.raises(error):
                 make_tower(*args, **kwargs)
         assert make_tower(3, 1, 2).field_spec == "3^1:2"
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: RatFuncSpec(t, 4, 1),
+    lambda t: LinearizedPoly(t, (1,)),
+    lambda t: BivarPoly(t, ((1,),)),
+], ids=["RatFuncSpec", "LinearizedPoly", "BivarPoly"])
+@pytest.mark.parametrize("not_a_tower", [5, None, "3:2"],
+                         ids=["int", "None", "str"])
+def test_constructors_refuse_what_is_not_a_tower(build, not_a_tower):
+    """Each raised a bare AttributeError, reading size or n off the
+    argument."""
+    with pytest.raises(UsageError, match="must be a FieldTower"):
+        build(not_a_tower)
+
+
+def test_cache_clear_frees_the_towers_the_memos_hold():
+    """The pair scan and the level set are keyed by a tower; cache_clear
+    clears them too, so a tower it forgets is freed."""
+    make_tower.cache_clear()
+    t = make_tower(3, 1, 2)
+    pairwise_criterion(t, 3, 1)
+    classify_c(t, 3)
+    assert ratfunc._pair_scan.cache_info().currsize == 1
+    assert ratfunc._level_set.cache_info().currsize == 1
+    ref = weakref.ref(t)
+    del t
+    make_tower.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 2), (5, 1, 3)])
