@@ -2,20 +2,20 @@
 
 Polynomials in X and Y over the top field are stored as rectangular
 coefficient grids, grid[i][j] holding the encoding of the X^i Y^j
-coefficient, trimmed so the last row and column are nonzero.  The maps
-under test leave F_q-rational points of these grids in correspondence
-with failing pairs of the criteria.  For w = (x0+b)(y0+b),
-N(w) Tr(c/w) = Tr(c^(q^(n-1)) w w^q ... w^(q^(n-2))), so every curve is
-one formula:
+coefficient, trimmed so the last row and column are nonzero.
 
-  f = P(X) P(Y) - Tr(c^(q^(n-1)) Q(X) Q(Y)),
-  P(T) = prod_{i<n} (T + b^(q^i)),  Q(T) = prod_{i<n-1} (T + b^(q^i)),
+Every curve comes from the reduced map r(t) = t + Tr(c/(t + b)) = N/P on
+F_q, with P(T) = prod_{i<n} (T + b^(q^i)), M(T) = Tr(c P(T)/(T + b)) (the
+trace taken coefficient by coefficient) and N = T P + M:
 
-with the trace taken coefficient by coefficient: build_f2 at n = 2,
-build_f3 at n = 3, and build_f3_kernel the trace part alone.  At points
-of F_q x F_q each curve evaluates to N(w) (1 - Tr(c/w)), the kernel
-curve to N(w) Tr(c/w), so off-diagonal zeros are exactly the pairwise
-(resp. kernel) witnesses.
+  f (X - Y) = N(X) P(Y) - N(Y) P(X),
+  P(X) P(Y) - f = (P(X) M(Y) - P(Y) M(X))/(X - Y)
+                = Tr(c P(X) P(Y)/((X + b)(Y + b))),
+
+the Bezoutian of P and M.  build_f2 and build_f3 give f at n = 2 and 3,
+build_f3_kernel the Bezoutian at n = 3.  P has no root in F_q, so the
+off-diagonal F_q-zeros of f are the collisions of r, the pairwise
+witnesses, and those of the Bezoutian are the kernel witnesses.
 
 conjugate_factor_search looks for a monic bilinear g = XY + beta X
 + gamma Y + delta with f = g * sigma(g) * ... * sigma^(n-1)(g), pruning
@@ -24,11 +24,11 @@ row f[n] is the coefficient list of prod (Y + beta^(q^i)), so beta lies
 in the norm fiber over f[n][0], has trace f[n][n-1], and its conjugate
 product is that row; gamma is read off the right column f[.][n] the
 same way.  f[0][0] is the norm of delta, whose fiber is read off the
-log table (N(g^k) = g^(k e) with e = (q^n - 1)/(q - 1)).  Three more
+log table (Nm(g^k) = g^(k e) with e = (q^n - 1)/(q - 1)).  Three more
 coefficients filter delta per (beta, gamma):
   f[n-1][n-1] = Tr(delta) + Tr(beta) Tr(gamma) - Tr(beta gamma)
-  f[1][0]     = N(delta) Tr(beta/delta)
-  f[0][1]     = N(delta) Tr(gamma/delta)
+  f[1][0]     = Nm(delta) Tr(beta/delta)
+  f[0][1]     = Nm(delta) Tr(gamma/delta)
 and every survivor is checked by the full product.
 
 The Weil gate for smoothness arguments is evaluated in exact integer
@@ -178,15 +178,14 @@ def _conjugate_product(tower, a, k):
 
 
 def _curve(tower, b, c, n, with_norm):
-    """P(X) P(Y) - Tr(c^(q^(n-1)) Q(X) Q(Y)), or the trace part alone,
-    with P and Q the products of T + b^(q^i) over i < n and i < n - 1."""
+    """The divided difference f of r = N/P, or with with_norm false the
+    Bezoutian P(X) P(Y) - f = Tr(c Q(X) Q(Y)), Q = P/(T + b)."""
     if tower.n != n:
         raise UnsupportedDegree(f"this curve is specific to degree {n}")
     _check_bc(tower, b, c)
     top, trace = tower.top, tower.trace_table
-    a = tower.frob_enc(c, n - 1)
-    qs = _conjugate_product(tower, b, n - 1) + [0]
-    grid = [[trace[top.mul(top.mul(a, x), y)] for y in qs] for x in qs]
+    qs = _conjugate_product(tower, tower.frob_table[b], n - 1) + [0]
+    grid = [[trace[top.mul(top.mul(c, x), y)] for y in qs] for x in qs]
     if with_norm:
         ps = _conjugate_product(tower, b, n)
         grid = [[top.sub(top.mul(x, y), t) for y, t in zip(ps, row)]
@@ -195,21 +194,21 @@ def _curve(tower, b, c, n, with_norm):
 
 
 def build_f2(tower, b, c):
-    """N((X+b)(Y+b)) - Tr(c^q (X+b)(Y+b)); bidegree (2, 2)."""
+    """f = (N(X) P(Y) - N(Y) P(X))/(X - Y) at n = 2; bidegree (2, 2)."""
     return _curve(tower, b, c, 2, True).expect_bidegree(2, 2)
 
 
 def build_f3(tower, b, c):
-    """N((X+b)(Y+b)) - Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); bidegree (3, 3)."""
+    """f = (N(X) P(Y) - N(Y) P(X))/(X - Y) at n = 3; bidegree (3, 3)."""
     return _curve(tower, b, c, 3, True).expect_bidegree(3, 3)
 
 
 def build_f3_kernel(tower, b, c):
-    """Tr(c^(q^2) (X+b)(X+b^q)(Y+b)(Y+b^q)); tight bidegree (2, 2).
+    """The Bezoutian P(X) P(Y) - f at n = 3; tight bidegree (2, 2).
 
-    Tightness is a consequence of 1, b + b^q, b^(q+1) spanning: the Y^2
-    column reads Tr(c^(q^2) b^(q+1)), Tr(c^(q^2) (b + b^q)), Tr(c^(q^2)),
-    which cannot all vanish for nonzero c.
+    It is Tr(c Q(X) Q(Y)) with Q = (T + b^q)(T + b^(q^2)), so its Y^2
+    column reads Tr(c b^(q+q^2)), Tr(c (b^q + b^(q^2))), Tr(c): these
+    cannot all vanish for nonzero c, as 1, b^q + b^(q^2), b^(q+q^2) span.
     """
     return _curve(tower, b, c, 3, False).expect_bidegree(2, 2)
 

@@ -40,6 +40,8 @@ from .ratfunc import (
 
 _FIELD_RE = re.compile(r"^(\d+)(?:\^(\d+))?:(\d+)$")
 
+_CURVES = {"f2": build_f2, "f3": build_f3, "f3kernel": build_f3_kernel}
+
 # Every suite's modes, for the --mode help.
 _MODES = "; ".join(f"{name}: {'|'.join(suite.modes)}"
                    for name, suite in sorted(verify.SUITES.items())
@@ -183,17 +185,16 @@ def _cmd_classify(args):
 
 def _cmd_factor(args):
     tower = _tower_for(args)
-    build = {2: build_f2, 3: build_f3}.get(tower.n)
-    if build is None:
+    which = f"f{tower.n}"
+    if which not in _CURVES:
         raise UsageError("factor curves exist for degree 2 and 3 towers only")
-    curve = build(tower, args.b, args.c)
-    found = conjugate_factor_search(curve)
+    found = conjugate_factor_search(_CURVES[which](tower, args.b, args.c))
     payload = {
         "command": "factor",
         "field": tower.field_spec,
         "b": args.b,
         "c": args.c,
-        "which": "f2" if tower.n == 2 else "f3",
+        "which": which,
         "found": found is not None,
         "beta": None if found is None else found[0],
         "gamma": None if found is None else found[1],
@@ -206,12 +207,7 @@ def _cmd_factor(args):
 
 def _cmd_points(args):
     tower = _tower_for(args)
-    builders = {
-        "f2": build_f2,
-        "f3": build_f3,
-        "f3kernel": build_f3_kernel,
-    }
-    curve = builders[args.which](tower, args.b, args.c)
+    curve = _CURVES[args.which](tower, args.b, args.c)
     payload = {
         "command": "points",
         "field": tower.field_spec,
@@ -240,6 +236,17 @@ def _cmd_weil(args):
     return payload, 0
 
 
+def _write_file(flag, path, text):
+    """Write text to the path given to flag, refusing one that cannot be
+    written as a UsageError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(f"{flag} {path!r} cannot be written: "
+                         f"{err.strerror}") from None
+
+
 def _cmd_verify(args):
     qs = _parse_coeffs(args.q, "--q")
     if args.suite == "all":
@@ -257,11 +264,9 @@ def _cmd_verify(args):
                                    mode=args.mode, samples=args.samples)
     text = verify.reports_to_json(reports, include_elapsed=args.timings)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        _write_file("--json", args.json, text + "\n")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(verify.reports_to_csv(reports))
+        _write_file("--csv", args.csv, verify.reports_to_csv(reports))
     failed = any(r.assertive and r.verdict == "fail" for r in reports)
     return text, 1 if failed else 0
 
@@ -333,8 +338,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--b", type=_enc_arg, required=True)
     sp.add_argument("--c", type=_enc_arg, required=True)
-    sp.add_argument("--which", choices=("f2", "f3", "f3kernel"),
-                    required=True)
+    sp.add_argument("--which", choices=tuple(_CURVES), required=True)
     sp.set_defaults(fn=_cmd_points)
 
     sp = sub.add_parser("weil", help="exact point-count gate")

@@ -115,3 +115,41 @@ def reference_curves(tower, b, c):
     curve = BivarPoly(tower, [[top.sub(norm.coeff(i, j), kernel.coeff(i, j))
                                for j in range(n + 1)] for i in range(n + 1)])
     return curve, kernel
+
+
+def reduced_map(tower, b, c):
+    """(N, P), ascending coefficient lists, of the reduced map
+    r(t) = t + Tr(c/(t + b)) = N(t)/P(t) from its definition:
+    P = prod_{i<n} (T + b^(q^i)) by polynomial products, Q = P/(T + b) by
+    synthetic division, and N = T P + Tr(c Q) with the trace taken
+    coefficient by coefficient."""
+    top = tower.top
+    P = [1]
+    for i in range(tower.n):
+        P = poly_mul(top, P, [tower.frob_enc(b, i), 1])
+    Q = [0] * (len(P) - 1)
+    rem = P[-1]
+    for k in range(len(Q) - 1, -1, -1):
+        Q[k] = rem
+        rem = top.sub(P[k], top.mul(b, rem))
+    assert rem == 0
+    M = [tower.trace_enc(top.mul(c, x)) for x in Q] + [0, 0]
+    N = [top.add(x, y) for x, y in zip(poly_mul(top, [0, 1], P), M)]
+    return N, P
+
+
+def poly_mul(top, f, g):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = top.add(out[i + j], top.mul(x, y))
+    return out
+
+
+def poly_eval(top, f, t):
+    """f(t) by Horner's rule, f ascending."""
+    acc = 0
+    for x in reversed(f):
+        acc = top.add(top.mul(acc, t), x)
+    return acc

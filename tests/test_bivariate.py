@@ -24,6 +24,7 @@ from permrf import (
 )
 from permrf.bivariate import (
     BivarPoly,
+    _curve,
     _norm_fiber,
     apply_sigma,
     bilinear,
@@ -40,7 +41,13 @@ from permrf.errors import (
     UsageError,
     WrongDegree,
 )
-from helpers import prime_powers, reference_curves, reference_factor_search
+from helpers import (
+    poly_eval,
+    prime_powers,
+    reduced_map,
+    reference_curves,
+    reference_factor_search,
+)
 
 F2_GRID_B3_C1 = ((0, 0, 1), (0, 1, 0), (1, 0, 1))
 F2_GRID_B3_C2 = ((2, 0, 1), (0, 2, 0), (1, 0, 1))
@@ -118,6 +125,43 @@ def test_curves_match_their_definition():
                 else:
                     assert build_f3(t, b, c) == curve
                     assert build_f3_kernel(t, b, c) == kernel
+
+
+def test_curve_is_the_divided_difference_of_the_reduced_map():
+    """With r = N/P built from its definition, P has no root in F_q and
+    N/P is t + Tr(c/(t + b)) on F_q; the curve f has
+    f (X - Y) = N(X) P(Y) - N(Y) P(X), its trace part is the Bezoutian
+    of P and M = N - T P, and at n = 4 and 5, where no builder runs, both
+    equal reference_curves."""
+    for params in ((3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3),
+                   (2, 1, 4), (3, 1, 4), (2, 1, 5)):
+        t = make_tower(*params)
+        top, n = t.top, t.n
+        rng = random.Random(f"bivariate-reduced-map:{params}")
+        x_minus_y = bilinear(t, 0, 1, top.neg(1), 0)
+
+        def cross(A, B):
+            """A(X) B(Y) - A(Y) B(X)."""
+            return BivarPoly(t, [[top.sub(top.mul(a, B[j]), top.mul(A[j], e))
+                                  for j in range(len(A))]
+                                 for a, e in zip(A, B)])
+
+        for _ in range(6):
+            b, c = rng.randrange(t.q, t.size), rng.randrange(1, t.size)
+            N, P = reduced_map(t, b, c)
+            for x in range(t.q):
+                px = poly_eval(top, P, x)
+                assert px != 0
+                r = t.trace_enc(top.mul(c, top.inv(top.add(x, b))))
+                assert (top.mul(poly_eval(top, N, x), top.inv(px))
+                        == top.add(x, r))
+            P = P + [0]
+            M = [top.sub(x, y) for x, y in zip(N, [0] + P)]
+            curve, kernel = _curve(t, b, c, n, True), _curve(t, b, c, n, False)
+            assert mul(curve, x_minus_y) == cross(N, P)
+            assert mul(kernel, x_minus_y) == cross(P, M)
+            if n > 3:
+                assert (curve, kernel) == reference_curves(t, b, c)
 
 
 def test_pretty():

@@ -256,6 +256,20 @@ def test_verify_command_writes_reports(capsys, tmp_path):
     assert csv_path.read_text().splitlines()[0].startswith("suite,")
 
 
+@pytest.mark.parametrize("flag,name", [("--json", "missing/reports.json"),
+                                       ("--csv", "")])
+def test_verify_refuses_a_path_it_cannot_write(capsys, tmp_path, flag, name):
+    """A missing directory and a directory each end in the JSON error on
+    stderr and exit 2, not a traceback and the failed-suite exit 1."""
+    path = str(tmp_path / name)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem-n2",
+                             "--q", "3", "--workers", "1", flag, path)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert error["detail"].startswith(f"{flag} {path!r} cannot be written: ")
+
+
 def test_verify_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--suite", "theorem-n2",
                           "--q", "3,4")
