@@ -48,22 +48,27 @@ arithmetic and touch neither, so they stay independent checks of both.
 
 Direct evaluation visits every element once, in ascending order.
 c/(Tr(x) + b) depends on x only through Tr(x), so its q values are
-computed first: q divisions, not q^n.  L is additive over the base-q
-digits of an encoding, so x = hi + lo, with hi a multiple of
-width = q^ceil(n/2) and lo < width, has L(x) = L(hi) + L(lo): one row of
-L(lo) and one evaluation of L(hi) per block, about 2*sqrt(q^n)
-evaluations in all; the identity is one block of width q^n, and its row
-is the field itself.  Adding L(hi) to the q shifts once per block leaves
-one addition per element.  Characteristic 2 adds by XOR.  Odd
-characteristic adds on logarithms, log(u + w) = log u + zech[log w - log u]:
-the shifts and the row are kept as logarithms, so an element costs one
-Zech read and no call; a zero operand or zero sum is resolved from the
-other operand's logarithm.
+computed first: q divisions, not q^n.  Base-p digits of an encoding are
+F_p coordinates and L is F_p-linear, so x = hi + lo, with hi a multiple
+of width = p^k and lo < width, has L(x) = L(hi) + L(lo).  The width is
+the largest p^k with p^(2k) <= q*q^n, which balances the row L(lo) of
+width entries against the q shifts rebuilt for each of the q^n/width
+blocks.  The row is built digit by digit, the entries t*p^i + lo being
+the entries (t-1)*p^i + lo plus L(p^i), so L is evaluated k times for
+the row and once for each later block hi: k + q^n/width - 1 calls.  The
+identity is one block of width q^n, and its row is the field itself.
+Adding L(hi) to the q shifts once per block leaves one addition per
+element.  Characteristic 2 adds by XOR.  Odd characteristic adds on
+logarithms, log(u + w) = log u + zech[log w - log u]: the shifts and the
+row are kept as logarithms, so an element costs one Zech read and no
+call; a zero operand or zero sum is resolved from the other operand's
+logarithm.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -122,26 +127,46 @@ def eval_rf(spec, x):
 def is_permutation_direct(spec):
     """Evaluate the map on every element; True when no value repeats,
     False at the first repeat.  The elements are visited in ascending
-    order, in digit blocks of width q^ceil(n/2), or in one block of the
-    whole field when L is the identity.  Characteristic 2 adds by XOR;
-    odd characteristic adds in the log domain (see _scan_logs)."""
+    order, in one block of the whole field when L is the identity, else
+    in digit blocks of width _scan_width(p, q, q^n), as the module
+    docstring describes.  Characteristic 2 adds by XOR; odd
+    characteristic adds in the log domain (see _scan_logs)."""
     tower = spec.tower
     if spec.L.is_identity:
         lin, width = None, tower.size
     else:
-        lin, width = spec.L.eval_enc, tower.q ** -(-tower.n // 2)
+        lin = spec.L.eval_enc
+        width = _scan_width(tower.p, tower.q, tower.size)
     scan = _scan_xor if tower.p == 2 else _scan_logs
     return scan(spec, lin, width)
 
 
+def _scan_width(p, q, size):
+    """The largest p^k with p^(2k) <= q*size: the block width that
+    balances the row's entries against the q shifts of each block.  It
+    rounds down, so the row holds at most sqrt(q*size) entries, 2^18 at
+    the default budget, and it is at most size, as q <= size."""
+    width, bound = 1, isqrt(q * size)
+    while width * p <= bound:
+        width *= p
+    return width
+
+
 def _scan_xor(spec, lin, width):
     """The characteristic 2 scan: sums by XOR of encodings.  lin is None
-    for the identity, whose row L(lo) is range(width)."""
+    for the identity, whose row L(lo) is range(width).  Otherwise the
+    row's upper half for digit i is its lower half XOR L(2^i)."""
     tower = spec.tower
     top, size = tower.top, tower.size
     shift = [top.mul(spec.c, top.inv(top.add(t, spec.b)))
              for t in range(tower.q)]
-    row = range(width) if lin is None else [lin(lo) for lo in range(width)]
+    if lin is None:
+        row = range(width)
+    else:
+        row = [0]
+        while len(row) < width:
+            li = lin(len(row))
+            row += [li ^ u for u in row]
     traces = iter(tower.trace_table)
     seen = bytearray(size)
     block = shift  # L(0) = 0
@@ -160,17 +185,34 @@ def _scan_xor(spec, lin, width):
 def _scan_logs(spec, lin, width):
     """The odd-characteristic scan.  The shifts log(c/(t + b)) are
     log c - log b - zech[log t - log b] for t != 0, and t + b is never 0.
-    The row of log L(lo) is the log table itself for the identity.  seen
-    is indexed by the image's logarithm, slot size - 1 standing for 0."""
+    The row of log L(lo) is the log table itself for the identity, and
+    is otherwise built digit by digit on logarithms, None standing for
+    log 0.  seen is indexed by the image's logarithm, slot size - 1
+    standing for 0."""
     tower = spec.tower
-    top, size, q = tower.top, tower.size, tower.q
+    top, size, q, p = tower.top, tower.size, tower.q, tower.p
     log, zech = top._log, top._zech
     order = size - 1
     lb = log[spec.b]
     lcb = log[spec.c] - lb
     shift = [lcb % order] + [(lcb - zech[log[t] - lb]) % order
                              for t in range(1, q)]
-    row = log if lin is None else [log[lin(lo)] for lo in range(width)]
+    if lin is None:
+        row = log
+    else:
+        row = [None]
+        while len(row) < width:
+            li = log[lin(len(row))]
+            if li is None:
+                row *= p
+                continue
+            part = row
+            for _ in range(1, p):
+                part = [li if u is None else
+                        None if (z := zech[li - u]) is None else
+                        (u + z) % order
+                        for u in part]
+                row += part
     traces = iter(tower.trace_table)
     seen = bytearray(size)
     block = shift  # L(0) = 0

@@ -3,6 +3,7 @@ permutation criteria, classification, closed forms, and the degree 3
 trace-one scan.  Frozen values come from an independent implementation.
 """
 
+import math
 import random
 import sys
 from collections import Counter
@@ -580,8 +581,11 @@ def test_direct_and_reduced_do_not_use_pair_scan(monkeypatch):
 
 
 def test_direct_scan_matches_pointwise_reference(monkeypatch):
-    # At odd n the digit blocks are q^((n+1)/2) wide and fewer than that
-    # many; 2^2:3 and 3^2:2 have a middle field that is not prime.  Every
+    # A general L is split into digit blocks of width p^k, the largest
+    # with p^(2k) <= q*q^n: at odd n, q^((n+1)/2) wide and fewer than that
+    # many; 2^2:2 and 3^2:2, whose middle field is not prime, take blocks
+    # wider than q (8 and 27), so an n = 2 scan with more than one block
+    # is checked in both characteristics; 2^2:3 has blocks of 16.  Every
     # c is tried, so the closed form and the other permuting c run full
     # scans, and the rest stop at a repeat.  In odd characteristic the
     # scan adds on logarithms: events counts, per kind of L, the Zech
@@ -603,8 +607,8 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
             return z
 
     rng = random.Random("ratfunc-direct-scan")
-    for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 2),
-                   (3, 2, 2), (7, 1, 2)):
+    for params in ((2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 2), (2, 2, 3),
+                   (5, 1, 2), (3, 2, 2), (7, 1, 2)):
         t = make_tower(*params)
         top = t.top
         b = rng.randrange(t.q, t.size)
@@ -640,11 +644,13 @@ def test_direct_scan_matches_pointwise_reference(monkeypatch):
         assert events[kind_, "add"] == 0
 
 
-def test_direct_scan_evaluates_L_once_per_row_entry_and_block(monkeypatch):
-    # A general L is evaluated on the row lo < width and once per later
-    # block hi, never per shift: at most width + size/width calls over a
-    # full scan.  L = a*x^q with numerator a*c permutes exactly when
-    # x + c/(Tr(x) + b) does, so a c from classify_c scans every element.
+def test_direct_scan_evaluates_L_once_per_row_digit_and_block(monkeypatch):
+    # A general L is evaluated at p^i for each digit i < k of the row
+    # lo < width = p^k, and once per later block hi, never per row entry
+    # or shift: k + size/width - 1 calls over a full scan.  2^4:2 and
+    # 3^2:2 take blocks wider than q (64 and 27).  L = a*x^q with
+    # numerator a*c permutes exactly when x + c/(Tr(x) + b) does, so a c
+    # from classify_c scans every element.
     calls = Counter()
     eval_enc = LinearizedPoly.eval_enc
 
@@ -653,7 +659,7 @@ def test_direct_scan_evaluates_L_once_per_row_entry_and_block(monkeypatch):
         return eval_enc(self, x)
 
     monkeypatch.setattr(LinearizedPoly, "eval_enc", counted)
-    for params in ((2, 4, 2), (2, 1, 5), (5, 1, 2), (3, 1, 3)):
+    for params in ((2, 4, 2), (3, 2, 2), (2, 1, 5), (5, 1, 2), (3, 1, 3)):
         t = make_tower(*params)
         b = t.q
         c = classify_c(t, b)[0]
@@ -661,8 +667,38 @@ def test_direct_scan_evaluates_L_once_per_row_entry_and_block(monkeypatch):
         spec = RatFuncSpec(t, b, t.top.mul(a, c), LinearizedPoly(t, (0, a)))
         calls.clear()
         assert is_permutation_direct(spec)
-        width = t.q ** -(-t.n // 2)
-        assert 0 < calls["eval"] <= width + t.size // width
+        width = ratfunc._scan_width(t.p, t.q, t.size)
+        k = round(math.log(width, t.p))
+        assert t.p ** k == width
+        assert calls["eval"] == k + t.size // width - 1
+
+
+def test_scan_width_is_the_largest_power_of_p_below_sqrt_q_size():
+    # Every shape within the default budget of 2^24, no tower built:
+    # width = p^k with p^(2k) <= q*size < p^(2k+2), and width <= size, so
+    # the blocks tile the field.
+    budget = 1 << 24
+    primes = [p for p in range(2, 4097)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    shapes = [(p, m, n) for p in primes for m in range(1, 13)
+              for n in range(2, 25) if p ** (m * n) <= budget]
+    for shape in ((2, 12, 2), (4093, 1, 2), (2, 1, 24), (2, 8, 3)):
+        assert shape in shapes
+    for p, m, n in shapes:
+        q, size = p ** m, p ** (m * n)
+        width = ratfunc._scan_width(p, q, size)
+        w = width
+        while w % p == 0:
+            w //= p
+        assert w == 1, (p, m, n)
+        assert width ** 2 <= q * size < (p * width) ** 2, (p, m, n)
+        assert width <= size, (p, m, n)
+    # n = 2 towers with a composite q split wider than q; prime q at n = 2
+    # and q^((n+1)/2) at n = 3 keep the width a q-digit split gives.
+    assert [ratfunc._scan_width(p, p ** m, p ** (m * n))
+            for p, m, n in ((2, 2, 2), (3, 2, 2), (2, 8, 2), (3, 5, 2),
+                            (2, 12, 2), (4093, 1, 2), (2, 8, 3))] == [
+        8, 27, 4096, 2187, 1 << 18, 4093, 1 << 16]
 
 
 def _scan_log_raises(spec):
@@ -702,7 +738,7 @@ def test_odd_scan_takes_lo_zero_without_raising():
             assert _scan_log_raises(RatFuncSpec(t, b, c)) == (True, 1)
             a = t.size - 1
             spec = RatFuncSpec(t, b, top.mul(a, c), LinearizedPoly(t, (0, a)))
-            width = t.q ** -(-t.n // 2)
+            width = ratfunc._scan_width(t.p, t.q, t.size)
             want = 0
             for x in range(t.size):
                 lo = x % width
