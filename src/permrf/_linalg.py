@@ -1,6 +1,6 @@
 """Dense exact linear algebra over a finite field.
 
-Matrices are lists of rows; entries are integer encodings understood by an
+Matrices are lists of n >= 1 rows; entries are integer encodings read by an
 ops object exposing sub, mul, neg, inv.  Encoding 0 must be the additive
 identity and encoding 1 the multiplicative identity.  Inverse, kernel and
 column space run on rref, the one elimination here; rank is its pivot count.
@@ -12,8 +12,6 @@ variables low to high.
 def rref(ops, rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
@@ -52,7 +50,7 @@ def inv_matrix(ops, a):
 def nullspace(ops, rows):
     """Basis of the right kernel, one vector per free column, ascending."""
     red, pivots = rref(ops, rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0])
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -68,8 +66,6 @@ def nullspace(ops, rows):
 
 def col_echelon(ops, rows):
     """Basis of the column space, returned as normalized coordinate vectors."""
-    if not rows:
-        return []
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
     red, pivots = rref(ops, transpose)
     return [red[i] for i in range(len(pivots))]

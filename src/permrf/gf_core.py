@@ -148,7 +148,6 @@ class _PrimeField:
     def __init__(self, p):
         self.char = p
         self.size = p
-        self.degree = 1
 
     def add(self, a, b):
         return (a + b) % self.size
@@ -227,11 +226,9 @@ def _poly_make_monic(k, f):
 def _is_irreducible(k, f):
     """Monic f over field k; gcd(X^(s^i) - X, f) = 1 for i up to deg(f)//2."""
     d = len(f) - 1
-    if d < 1:
+    if d > 1 and f[0] == 0:
         return False
-    if f[0] == 0 and d > 1:
-        return False
-    # A polynomial in X^p is a p-th power over a finite field.
+    # A polynomial in X^p, a constant too, is a p-th power over a finite field.
     if not any(c for i, c in enumerate(f) if i % k.char):
         return False
     x = [0, 1]
@@ -311,13 +308,8 @@ class _ExtField:
         return self.undigits(prod)
 
     def _raw_pow(self, a, e):
-        result = 1
-        while e > 0:
-            if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return result
+        return self.undigits(_poly_powmod(self.ground, self.digits(a), e,
+                                          list(self.modulus)))
 
     def _norm(self, a):
         """N(a) = a^((s^d - 1)/(s - 1)) as Res(h, a), h the monic modulus,

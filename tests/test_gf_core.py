@@ -140,7 +140,9 @@ def test_canonical_moduli(params, expected):
 def test_pth_powers_are_reducible():
     """Every element of a finite field is a p-th power, so a polynomial
     in X^p is one too.  Over F_256 the search for h passes all 255 such
-    X^2 + c before (32, 1, 1)."""
+    X^2 + c before (32, 1, 1).  A constant, 0 and 1 among them, and the
+    empty list are polynomials in X^p: refused over the prime field F_3
+    and over the middle field F_9."""
     f256 = make_tower(2, 8, 1).mid
     assert not any(gf_core._is_irreducible(f256, [c, 0, 1])
                    for c in range(256))
@@ -148,6 +150,10 @@ def test_pth_powers_are_reducible():
     assert not any(gf_core._is_irreducible(f3, [c, 0, 0, 1, 0, 0, 1])
                    for c in range(3))
     assert make_tower(2, 8, 2).top.modulus == (32, 1, 1)
+    t = make_tower(3, 2, 2)
+    for k in (t.base, t.mid):
+        assert not any(gf_core._is_irreducible(k, [c]) for c in range(k.size))
+        assert not gf_core._is_irreducible(k, [])
 
 
 def test_f9_arithmetic_facts():
@@ -373,6 +379,20 @@ def test_resultant_norm_is_the_norm_power(p, m, n):
         assert f._norm(0) == 0
 
 
+@pytest.mark.parametrize("p,m,n,g,h", TABLE_TOWERS)
+def test_raw_pow_is_the_tables_power(p, m, n, g, h):
+    """The construction-time power, polynomial square-and-multiply modulo
+    the level's modulus, equals the built level's table power for seeded
+    x != 0 and e, e = 0 and e past the group order included."""
+    t = make_tower(p, m, n, g=g, h=h)
+    rng = random.Random(f"raw_pow:{p}:{m}:{n}")
+    for f in (t.mid, t.top):
+        for e in [0, 1, f.size - 1] + [rng.randrange(3 * f.size)
+                                       for _ in range(20)]:
+            x = rng.randrange(1, f.size)
+            assert f._raw_pow(x, e) == f.pow(x, e)
+
+
 # Top-field generators of the benchmark's cold-build towers.
 GENERATORS = {(2, 1, 15): 2, (2, 8, 2): 264, (2, 5, 3): 34, (3, 5, 2): 252,
               (37, 1, 3): 75}
@@ -402,18 +422,31 @@ def test_generator_search_tests_the_norm_first(monkeypatch):
     """g^(order/r) = N(g)^((s - 1)/r) for the primes r of s - 1, with
     N(g) = g^((s^d - 1)/(s - 1)) in the ground: one resultant per
     candidate, which makes no product in the field, and lookups in the
-    ground replace a power per such prime.  Testing every prime by its
-    own power made 1511, 1094 and 1127 products on these cold builds,
-    and the norm as a power 1036, 894 and 933."""
+    ground replace a power per such prime.  Counted are the polynomial
+    products (_poly_mul) a cold build makes outside the irreducibility
+    test: the step images' _raw_mul calls and the search's powers
+    (_raw_pow), 110, 38 and 90 here.  Testing every prime by its own
+    power made 1511, 1094 and 1127 products on these cold builds, and
+    the norm as a power 1036, 894 and 933."""
     calls = 0
-    raw_mul = gf_core._ExtField._raw_mul
+    testing = False
+    poly_mul, is_irreducible = gf_core._poly_mul, gf_core._is_irreducible
 
-    def counting(self, a, b):
+    def counting(k, f, g):
         nonlocal calls
-        calls += 1
-        return raw_mul(self, a, b)
+        calls += not testing
+        return poly_mul(k, f, g)
 
-    monkeypatch.setattr(gf_core._ExtField, "_raw_mul", counting)
+    def uncounted(k, f):
+        nonlocal testing
+        testing = True
+        try:
+            return is_irreducible(k, f)
+        finally:
+            testing = False
+
+    monkeypatch.setattr(gf_core, "_poly_mul", counting)
+    monkeypatch.setattr(gf_core, "_is_irreducible", uncounted)
     for params, bound in (((37, 1, 3), 150), ((3, 5, 2), 60),
                           ((2, 8, 2), 120)):
         make_tower.cache_clear()
