@@ -203,8 +203,9 @@ def _poly_powmod(k, f, e, g):
     while e > 0:
         if e & 1:
             result = _poly_mod(k, _poly_mul(k, result, f), g)
-        f = _poly_mod(k, _poly_mul(k, f, f), g)
         e >>= 1
+        if e:
+            f = _poly_mod(k, _poly_mul(k, f, f), g)
     return result
 
 
@@ -796,8 +797,7 @@ class FieldTower:
         """A top encoding as a polynomial in v, with middle-field
         coefficients in u; with m = 1 a coefficient is its prime digit."""
         _check_enc(self, enc, "element")
-        mid = str if self.m == 1 else partial(_poly_text, self.mid, "u")
-        return _poly_text(self.top, "v", enc, mid)
+        return _pretty(self, enc)
 
     def __repr__(self):
         return f"FieldTower({self.field_spec})"
@@ -848,10 +848,18 @@ def make_tower(p, m, n, g=None, h=None, size_budget=None):
     return _cached_tower(p, m, n, g, h, budget)
 
 
-# Memos keyed by a tower in the modules above this one, each added once
-# at their import; cache_clear clears them with the tower cache, so a
-# tower it forgets is not kept alive by a pair scan or a level set.
-_tower_memos = []
+@lru_cache(maxsize=4096)
+def _pretty(tower, enc):
+    """pretty_enc's text per (tower, encoding).  The battery renders 439
+    distinct pairs, and 4096 entries hold about 1 MB of text and keys."""
+    mid = str if tower.m == 1 else partial(_poly_text, tower.mid, "u")
+    return _poly_text(tower.top, "v", enc, mid)
+
+
+# Memos keyed by a tower, this module's and those added once at the
+# import of the modules above it; cache_clear clears them with the tower
+# cache, so a tower it forgets is not kept alive by one of them.
+_tower_memos = [_pretty]
 
 
 def _clear_caches():

@@ -16,10 +16,11 @@ inverse Moore matrix over the top field.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import _linalg
 from .errors import LevelMismatch, NotABasis, NotBijective, UsageError
-from .gf_core import FieldTower, _check_enc, _check_tower
+from .gf_core import FieldTower, _check_enc, _check_tower, _tower_memos
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,9 @@ class LinearizedPoly:
 
     @classmethod
     def identity(cls, tower):
-        return cls(tower, (1,))
+        """The map x, one shared instance per tower."""
+        _check_tower(tower)
+        return _identity(tower)
 
     @property
     def is_identity(self):
@@ -57,6 +60,14 @@ class LinearizedPoly:
                 acc = top.add(acc, top.mul(a, t))
             t = frob[t]
         return acc
+
+
+@lru_cache(maxsize=None)
+def _identity(tower):
+    return LinearizedPoly(tower, (1,))
+
+
+_tower_memos.append(_identity)
 
 
 def _check_map(L, what="L"):

@@ -153,13 +153,16 @@ def _scan_width(p, q, size):
 
 
 def _scan_xor(spec, lin, width):
-    """The characteristic 2 scan: sums by XOR of encodings.  lin is None
-    for the identity, whose row L(lo) is range(width).  Otherwise the
-    row's upper half for digit i is its lower half XOR L(2^i)."""
+    """The characteristic 2 scan: sums by XOR of encodings.  The shifts
+    c/(t + b) are exp[log c + (size - 1) - log(t ^ b)], off the tables as
+    in _scan_logs; t ^ b is neither 0 nor 1, b lying outside F_q.  lin is
+    None for the identity, whose row L(lo) is range(width).  Otherwise
+    the row's upper half for digit i is its lower half XOR L(2^i)."""
     tower = spec.tower
     top, size = tower.top, tower.size
-    shift = [top.mul(spec.c, top.inv(top.add(t, spec.b)))
-             for t in range(tower.q)]
+    log, exp = top._log, top._exp
+    lc = log[spec.c] + size - 1
+    shift = [exp[lc - log[t ^ spec.b]] for t in range(tower.q)]
     if lin is None:
         row = range(width)
     else:
@@ -184,7 +187,8 @@ def _scan_xor(spec, lin, width):
 
 def _scan_logs(spec, lin, width):
     """The odd-characteristic scan.  The shifts log(c/(t + b)) are
-    log c - log b - zech[log t - log b] for t != 0, and t + b is never 0.
+    log c - log b - zech[log t - log b] for t != 0, and t + b is never 0;
+    _scan_xor reads its shifts off the same tables.
     The row of log L(lo) is the log table itself for the identity, and
     is otherwise built digit by digit on logarithms, None standing for
     log 0.  seen is indexed by the image's logarithm, slot size - 1
@@ -446,8 +450,11 @@ def is_permutation(spec):
 def remark3_check(tower, b, c):
     """Whether Tr(c/(u + b*v + b^2)) avoids 1 on all of F_q x F_q.
 
-    Degree 3 and odd characteristic only.  The denominator never
-    vanishes: a zero would make b quadratic over F_q.
+    Degree 3 and odd characteristic only.  Per v, base = b*v + b^2; per
+    u != 0, log(c/(u + base)) = log c - log base - zech[log u - log base],
+    one Zech read and one trace lookup.  zech is never None: u + base = 0
+    would make b quadratic over F_q, and base = b*(v + b) != 0 as b lies
+    outside F_q.
     """
     if tower.n != 3:
         raise UnsupportedDegree("the scan is specific to degree 3")
@@ -455,12 +462,17 @@ def remark3_check(tower, b, c):
         raise EvenCharacteristic("the scan needs odd characteristic")
     _check_bc(tower, b, c)
     top = tower.top
+    log, exp, zech = top._log, top._exp, top._zech
     trace = tower.trace_table
+    order = tower.size - 1
+    lus = log[1:tower.q]
     bsq = top.mul(b, b)
     for v in range(tower.q):
-        base = top.add(top.mul(b, v), bsq)
-        for u in range(tower.q):
-            w = top.mul(c, top.inv(top.add(u, base)))
-            if trace[w] == 1:
+        lbase = log[top.add(top.mul(b, v), bsq)]
+        r = log[c] - lbase
+        if trace[exp[r % order]] == 1:
+            return False
+        for lu in lus:
+            if trace[exp[(r - zech[lu - lbase]) % order]] == 1:
                 return False
     return True

@@ -6,6 +6,7 @@ no shared code with the package.
 """
 
 import copy
+import functools
 import gc
 import itertools
 import math
@@ -28,6 +29,7 @@ from permrf import (
     eval_poly,
     eval_rf,
     gf_core,
+    linmaps,
     make_tower,
     matrix_of,
     pairwise_criterion,
@@ -393,6 +395,29 @@ def test_raw_pow_is_the_tables_power(p, m, n, g, h):
             assert f._raw_pow(x, e) == f.pow(x, e)
 
 
+def test_powmod_stops_squaring_at_the_top_bit(monkeypatch):
+    """f^(2^k) is k squarings and one product into the result: a square
+    after e's top bit would never be read."""
+    calls = 0
+    poly_mul = gf_core._poly_mul
+
+    def counting(k, f, g):
+        nonlocal calls
+        calls += 1
+        return poly_mul(k, f, g)
+
+    monkeypatch.setattr(gf_core, "_poly_mul", counting)
+    t = make_tower(3, 2, 2)
+    for f in (t.mid, t.top):
+        g = list(f.modulus)
+        x = f.generator
+        for k in range(6):
+            calls = 0
+            got = gf_core._poly_powmod(f.ground, f.digits(x), 2 ** k, g)
+            assert calls == k + 1
+            assert f.undigits(got) == f.pow(x, 2 ** k)
+
+
 # Top-field generators of the benchmark's cold-build towers.
 GENERATORS = {(2, 1, 15): 2, (2, 8, 2): 264, (2, 5, 3): 34, (3, 5, 2): 252,
               (37, 1, 3): 75}
@@ -425,7 +450,7 @@ def test_generator_search_tests_the_norm_first(monkeypatch):
     ground replace a power per such prime.  Counted are the polynomial
     products (_poly_mul) a cold build makes outside the irreducibility
     test: the step images' _raw_mul calls and the search's powers
-    (_raw_pow), 110, 38 and 90 here.  Testing every prime by its own
+    (_raw_pow), 104, 36 and 84 here.  Testing every prime by its own
     power made 1511, 1094 and 1127 products on these cold builds, and
     the norm as a power 1036, 894 and 933."""
     calls = 0
@@ -722,19 +747,24 @@ def test_constructors_refuse_what_is_not_a_tower(build, not_a_tower):
 
 
 def test_cache_clear_frees_the_towers_the_memos_hold():
-    """The pair scan and the level set are keyed by a tower; cache_clear
-    clears them too, so a tower it forgets is freed."""
+    """The pair scan, the level set, the identity map and the rendering
+    memo are keyed by a tower; cache_clear clears them too, so a tower
+    it forgets is freed."""
     make_tower.cache_clear()
     t = make_tower(3, 1, 2)
     pairwise_criterion(t, 3, 1)
     classify_c(t, 3)
-    assert ratfunc._pair_scan.cache_info().currsize == 1
-    assert ratfunc._level_set.cache_info().currsize == 1
+    RatFuncSpec(t, 3, 1)
+    t.pretty_enc(7)
+    memos = (ratfunc._pair_scan, ratfunc._level_set, linmaps._identity,
+             gf_core._pretty)
+    assert [m.cache_info().currsize for m in memos] == [1, 1, 1, 1]
     ref = weakref.ref(t)
     del t
     make_tower.cache_clear()
     gc.collect()
     assert ref() is None
+    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 2), (5, 1, 3)])
@@ -788,6 +818,29 @@ def test_pretty_rendering():
     assert nested.pretty_enc(3) == "u + 1"
     assert nested.pretty_enc(7) == "v + u + 1"
     assert nested.pretty_enc(12) == "(u + 1)*v"
+
+
+def _uncached_text(t, enc):
+    mid = str if t.m == 1 else functools.partial(gf_core._poly_text,
+                                                 t.mid, "u")
+    return gf_core._poly_text(t.top, "v", enc, mid)
+
+
+def test_pretty_memo_renders_as_the_uncached_text():
+    """pretty_enc reads a bounded memo; every element renders as the
+    uncached text, also in the second pass, after 17:3's encodings, more
+    than the bound, have evicted the first ones."""
+    towers = [make_tower(3, 1, 2), make_tower(2, 2, 3), make_tower(3, 2, 2)]
+    big = make_tower(17, 1, 3)
+    bound = gf_core._pretty.cache_info().maxsize
+    assert big.size > bound
+    for _ in range(2):
+        for t in towers:
+            for enc in range(t.size):
+                assert t.pretty_enc(enc) == _uncached_text(t, enc)
+        for enc in range(bound + 1):
+            assert big.pretty_enc(enc) == _uncached_text(big, enc)
+        assert gf_core._pretty.cache_info().currsize == bound
 
 
 def test_free_functions_wrap_elements():

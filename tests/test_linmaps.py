@@ -11,6 +11,7 @@ import pytest
 from helpers import SMALL_TOWERS, seeded_map_of_rank
 from permrf import (
     LinearizedPoly,
+    RatFuncSpec,
     compose,
     invert_lin,
     make_tower,
@@ -28,6 +29,19 @@ def test_constructors_and_identity():
     assert ident.is_identity
     assert LinearizedPoly(t, (0,)).coeffs == (0, 0)
     assert LinearizedPoly(t, (5,)).coeffs == (5, 0)
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2), (2, 2, 3), (5, 1, 3)])
+def test_identity_is_one_map_per_tower(params):
+    """A spec's default L is the tower's one identity map, equal to the
+    map built from (1,)."""
+    t = make_tower(*params)
+    ident = LinearizedPoly.identity(t)
+    assert ident is LinearizedPoly.identity(t)
+    assert ident == LinearizedPoly(t, (1,))
+    assert RatFuncSpec(t, t.q, 1).L is ident
+    with pytest.raises(UsageError, match="tower must be a FieldTower"):
+        LinearizedPoly.identity([1])
 
 
 def test_exponent_folding():

@@ -326,6 +326,37 @@ def test_remark3_frozen():
     assert remark3_check(t, 3, 2)
 
 
+def _remark3_reference(t, b, c):
+    """Remark 3's scan point by point through add, mul and inv."""
+    top = t.top
+    bsq = top.mul(b, b)
+    return all(
+        t.trace_table[top.mul(c, top.inv(
+            top.add(top.add(u, top.mul(b, v)), bsq)))] != 1
+        for v in range(t.q) for u in range(t.q))
+
+
+@pytest.mark.parametrize("params,seeded,trues", [
+    ((3, 1, 3), False, 24), ((5, 1, 3), False, 120),
+    ((7, 1, 3), True, 20), ((3, 2, 3), True, 20)])
+def test_remark3_matches_the_pointwise_scan(params, seeded, trues):
+    """remark3_check scans on the log tables; it agrees with the
+    pointwise scan on every (b, c) of 3:3 and 5:3, and on 7:3 and 3^2:3
+    on 340 seeded (b, c) and on 20 seeded b with the closed-form c, which
+    gives the True verdicts there."""
+    t = make_tower(*params)
+    if seeded:
+        rng = random.Random(f"remark3:{params}")
+        pairs = [(rng.randrange(t.q, t.size), rng.randrange(1, t.size))
+                 for _ in range(340)]
+        cases = pairs + [(b, closed_form_c(t, b)) for b, _ in pairs[:20]]
+    else:
+        cases = [(b, c) for b in range(t.q, t.size) for c in range(1, t.size)]
+    verdicts = [remark3_check(t, b, c) for b, c in cases]
+    assert verdicts == [_remark3_reference(t, b, c) for b, c in cases]
+    assert sum(verdicts) == trues
+
+
 def test_remark3_validation():
     with pytest.raises(EvenCharacteristic):
         remark3_check(make_tower(2, 1, 3), 2, 5)
