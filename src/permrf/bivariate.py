@@ -38,11 +38,13 @@ q - 2d + 1 is positive and its square exceeds ((d-1)(d-2))^2 q.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (DegreeTooSmall, LevelMismatch, UnsupportedDegree,
                      UsageError, WrongDegree)
 from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc,
-                      _check_tower, _power, _render_terms)
+                      _check_frob_power, _check_tower, _power, _render_terms,
+                      _tower_memos)
 
 
 def _trim(grid):
@@ -72,9 +74,8 @@ class BivarPoly:
                 or any(len(row) != len(grid[0]) for row in grid)):
             raise UsageError(f"grid {grid!r} is not rows of one nonzero "
                              f"length")
-        for row in grid:
-            for a in row:
-                _check_enc(self.tower, a, "coefficient")
+        for a in [a for row in grid for a in row]:
+            _check_enc(self.tower, a, "coefficient")
         object.__setattr__(self, "grid", _trim(grid))
 
     @property
@@ -82,9 +83,8 @@ class BivarPoly:
         return (len(self.grid) - 1, len(self.grid[0]) - 1)
 
     def coeff(self, i, j):
-        if i < len(self.grid) and j < len(self.grid[0]):
-            return self.grid[i][j]
-        return 0
+        rows, cols = len(self.grid), len(self.grid[0])
+        return self.grid[i][j] if i < rows and j < cols else 0
 
     def expect_bidegree(self, dx, dy):
         if self.bidegree != (dx, dy):
@@ -93,11 +93,7 @@ class BivarPoly:
         return self
 
     def is_symmetric(self):
-        dx, dy = self.bidegree
-        if dx != dy:
-            return False
-        return all(self.grid[i][j] == self.grid[j][i]
-                   for i in range(dx + 1) for j in range(dy + 1))
+        return self.grid == tuple(zip(*self.grid))
 
     def pretty(self):
         return _render_terms(
@@ -107,9 +103,16 @@ class BivarPoly:
             self.tower.pretty_enc)
 
 
-def _check_poly(f):
+def _poly(tower, grid):
+    """A trimmed BivarPoly over table reads, its entries not checked."""
+    f = object.__new__(BivarPoly)
+    f.__dict__.update(tower=tower, grid=_trim(grid))
+    return f
+
+
+def _check_poly(f, name="f"):
     if not isinstance(f, BivarPoly):
-        raise UsageError(f"f must be a BivarPoly, not {f!r}")
+        raise UsageError(f"{name} must be a BivarPoly, not {f!r}")
 
 
 def bilinear(tower, xy, x, y, const):
@@ -118,37 +121,43 @@ def bilinear(tower, xy, x, y, const):
 
 
 def mul(f, g):
+    """The product, each term exp[log a + log b], g's logs read once."""
+    _check_poly(f)
+    _check_poly(g, "g")
     if f.tower is not g.tower:
         raise LevelMismatch("factors are built on different towers")
     top = f.tower.top
-    fr, fc = len(f.grid), len(f.grid[0])
-    gr, gc = len(g.grid), len(g.grid[0])
-    out = [[0] * (fc + gc - 1) for _ in range(fr + gr - 1)]
-    for i in range(fr):
-        for j in range(fc):
-            a = f.grid[i][j]
-            if a == 0:
-                continue
-            for k in range(gr):
-                for l in range(gc):
-                    b = g.grid[k][l]
-                    if b != 0:
-                        out[i + k][j + l] = top.add(out[i + k][j + l],
-                                                    top.mul(a, b))
-    return BivarPoly(f.tower, out)
+    exp, log, add = top._exp, top._log, top.add
+    terms = [(k, l, log[b]) for k, row in enumerate(g.grid)
+             for l, b in enumerate(row) if b]
+    out = [[0] * (len(f.grid[0]) + len(g.grid[0]) - 1)
+           for _ in range(len(f.grid) + len(g.grid) - 1)]
+    for i, row in enumerate(f.grid):
+        for j, a in enumerate(row):
+            if a:
+                la = log[a]
+                for k, l, lb in terms:
+                    o = out[i + k]
+                    o[j + l] = add(o[j + l], exp[la + lb])
+    return _poly(f.tower, out)
 
 
 def apply_sigma(f, i=1):
     """Apply x -> x^(q^i) to every coefficient."""
-    frob = f.tower.frob_enc
-    return BivarPoly(f.tower, [[frob(x, i) for x in row] for row in f.grid])
+    _check_poly(f)
+    _check_frob_power(f.tower, i)
+    grid = f.grid
+    for _ in range(i):
+        grid = [[f.tower.frob_table[x] for x in row] for row in grid]
+    return _poly(f.tower, grid)
 
 
 def norm_poly(f):
     _check_poly(f)
-    out = f
-    for i in range(1, f.tower.n):
-        out = mul(out, apply_sigma(f, i))
+    out = conj = f
+    for _ in range(1, f.tower.n):
+        conj = apply_sigma(conj)
+        out = mul(out, conj)
     return out
 
 
@@ -157,12 +166,14 @@ def eval_poly(f, x, y):
     _check_enc(f.tower, x, "x")
     _check_enc(f.tower, y, "y")
     top = f.tower.top
+    return _horner(top, [_horner(top, row, y) for row in f.grid], x)
+
+
+def _horner(top, coeffs, x):
+    """The ascending coefficients' polynomial at x."""
     acc = 0
-    for row in reversed(f.grid):
-        racc = 0
-        for a in reversed(row):
-            racc = top.add(top.mul(racc, y), a)
-        acc = top.add(top.mul(acc, x), racc)
+    for a in reversed(coeffs):
+        acc = top.add(top.mul(acc, x), a)
     return acc
 
 
@@ -184,13 +195,18 @@ def _curve(tower, b, c, n, with_norm):
         raise UnsupportedDegree(f"this curve is specific to degree {n}")
     _check_bc(tower, b, c)
     top, trace = tower.top, tower.trace_table
-    qs = _conjugate_product(tower, tower.frob_table[b], n - 1) + [0]
-    grid = [[trace[top.mul(top.mul(c, x), y)] for y in qs] for x in qs]
+    exp, log, lc = top._exp, top._log, top._log[c]
+    # log None for 0; (log c + log x) mod (size - 1) + log y indexes exp.
+    lqs = [log[x] for x in _conjugate_product(tower, tower.frob_table[b],
+                                              n - 1)]
+    grid = [[0 if None in (lx, ly) else
+             trace[exp[(lc + lx) % (tower.size - 1) + ly]] for ly in lqs]
+            + [0] for lx in lqs] + [[0] * (n + 1)]
     if with_norm:
-        ps = _conjugate_product(tower, b, n)
-        grid = [[top.sub(top.mul(x, y), t) for y, t in zip(ps, row)]
-                for x, row in zip(ps, grid)]
-    return BivarPoly(tower, grid)
+        lps = [log[x] for x in _conjugate_product(tower, b, n)]
+        grid = [[top.sub(0 if None in (lx, ly) else exp[lx + ly], t)
+                 for ly, t in zip(lps, row)] for lx, row in zip(lps, grid)]
+    return _poly(tower, grid)
 
 
 def build_f2(tower, b, c):
@@ -216,13 +232,11 @@ def build_f3_kernel(tower, b, c):
 def count_offdiag_points(f):
     """Ordered pairs (x0, y0) in F_q^2 with x0 != y0 and f(x0, y0) = 0."""
     _check_poly(f)
-    q = f.tower.q
-    count = 0
-    for x0 in range(q):
-        for y0 in range(q):
-            if x0 != y0 and eval_poly(f, x0, y0) == 0:
-                count += 1
-    return count
+    top, q = f.tower.top, f.tower.q
+    # Each row's value at y0, then f(x0, y0) by Horner in x0.
+    cols = [[_horner(top, row, y0) for row in f.grid] for y0 in range(q)]
+    return sum(1 for y0, col in enumerate(cols) for x0 in range(q)
+               if x0 != y0 and _horner(top, col, x0) == 0)
 
 
 def _norm_fiber(tower, t):
@@ -231,23 +245,25 @@ def _norm_fiber(tower, t):
     k = l/e mod q - 1, and it is empty unless e divides l."""
     if t == 0:
         return [0]
-    order = tower.size - 1
-    e = order // (tower.q - 1)
-    k, rem = divmod(tower.top._log[t], e)
+    k, rem = divmod(tower.top._log[t], tower._norm_exp)
     if rem:
         return []
-    exp = tower.top._exp
-    return sorted(exp[i] for i in range(k, order, tower.q - 1))
+    return sorted(map(tower.top._exp.__getitem__,
+                      range(k, tower.size - 1, tower.q - 1)))
 
 
+@lru_cache(maxsize=1024)
 def _edge_roots(tower, edge):
     """Ascending x with prod sigma^i(T + x) = edge, ascending coefficients:
-    such an x lies in the norm fiber over edge[0] and has trace
-    edge[n-1]."""
-    n = tower.n
-    return [x for x in _norm_fiber(tower, edge[0])
-            if tower.trace_table[x] == edge[n - 1]
-            and _conjugate_product(tower, x, n) == edge]
+    such an x lies in the norm fiber over edge[0] and has trace edge[n-1].
+    A curve's top row is P's, the same for every c of one b, so the roots
+    are kept per (tower, edge)."""
+    return tuple(x for x in _norm_fiber(tower, edge[0])
+                 if tower.trace_table[x] == edge[tower.n - 1]
+                 and tuple(_conjugate_product(tower, x, tower.n)) == edge)
+
+
+_tower_memos.append(_edge_roots)
 
 
 def conjugate_factor_search(f):
@@ -265,26 +281,26 @@ def conjugate_factor_search(f):
     wins, so the result is deterministic.
     """
     _check_poly(f)
-    tower = f.tower
-    n = tower.n
+    tower, n, grid = f.tower, f.tower.n, f.grid
     _check_budget(tower.size ** 3, tower.size_budget,
                   f"factor search space {tower.size}^3")
-    if f.coeff(n, n) != 1:
+    # The norm of a monic bilinear g has bidegree (n, n), X^n Y^n term 1.
+    if f.bidegree != (n, n) or grid[n][n] != 1:
         return None
     top, trace = tower.top, tower.trace_table
-    row = [f.coeff(n, j) for j in range(n + 1)]
-    col = [f.coeff(i, n) for i in range(n + 1)]
+    row = grid[n]
+    col = tuple(r[n] for r in grid)
     betas = _edge_roots(tower, row)
     gammas = betas if col == row else _edge_roots(tower, col)
-    norm_target = f.coeff(0, 0)
+    norm_target = grid[0][0]
     deltas = _norm_fiber(tower, norm_target)
     if norm_target:
         inv_norm = top.inv(norm_target)
-        x_edge = top.mul(f.coeff(1, 0), inv_norm)
-        y_edge = top.mul(f.coeff(0, 1), inv_norm)
+        x_edge = top.mul(grid[1][0], inv_norm)
+        y_edge = top.mul(grid[0][1], inv_norm)
     for beta in betas:
         for gamma in gammas:
-            want = top.add(top.sub(f.coeff(n - 1, n - 1),
+            want = top.add(top.sub(grid[n - 1][n - 1],
                                    top.mul(trace[beta], trace[gamma])),
                            trace[top.mul(beta, gamma)])
             for delta in deltas:
@@ -295,7 +311,7 @@ def conjugate_factor_search(f):
                     if (trace[top.mul(beta, d_inv)] != x_edge
                             or trace[top.mul(gamma, d_inv)] != y_edge):
                         continue
-                g = bilinear(tower, 1, beta, gamma, delta)
+                g = _poly(tower, ((delta, gamma), (beta, 1)))
                 if norm_poly(g) == f:
                     return (beta, gamma, delta)
     return None

@@ -618,6 +618,12 @@ def _check_enc(tower, a, name):
             f"{name} encoding {a} outside field of size {tower.size}")
 
 
+def _check_frob_power(tower, i):
+    if type(i) is not int or not 0 <= i < tower.n:
+        raise OutOfRange(
+            f"Frobenius power {i!r} is not an int in 0..{tower.n - 1}")
+
+
 def _check_b(tower, b):
     _check_enc(tower, b, "b")
     if b == 0:
@@ -751,9 +757,7 @@ class FieldTower:
 
     def frob_enc(self, a, i=1):
         _check_enc(self, a, "element")
-        if type(i) is not int or not 0 <= i < self.n:
-            raise OutOfRange(
-                f"Frobenius power {i!r} is not an int in 0..{self.n - 1}")
+        _check_frob_power(self, i)
         for _ in range(i):
             a = self.frob_table[a]
         return a

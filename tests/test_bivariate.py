@@ -42,6 +42,9 @@ from permrf.errors import (
     WrongDegree,
 )
 from helpers import (
+    grid_mul,
+    grid_norm,
+    grid_sigma,
     poly_eval,
     prime_powers,
     reduced_map,
@@ -205,15 +208,40 @@ def test_mul_refuses_factors_from_two_towers():
         (0, 0, 0), (0, 0, 0), (0, 0, 1))
 
 
-def test_mul_against_dict_oracle():
-    t = make_tower(2, 2, 2)
-    top = t.top
-    rng = random.Random("bivariate-mul")
+ORACLE_TOWERS = ((2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 3), (2, 2, 3))
+
+
+def _oracle_grids(t, rng):
+    """Random grids of up to 3 x 3 entries, about a third of them 0, then
+    the zero polynomial, a constant and a grid with a zero edge."""
     for _ in range(12):
-        fg = [tuple(tuple(rng.randrange(16) for _ in range(3))
-                    for _ in range(2)) for _ in range(2)]
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        yield tuple(tuple(rng.choice((0, rng.randrange(1, t.size)))
+                          for _ in range(cols)) for _ in range(rows))
+    yield ((0,),)
+    yield ((rng.randrange(1, t.size),),)
+    yield ((0, rng.randrange(1, t.size)), (0, 0))
+
+
+def _oracle_pairs():
+    """Pairs of grids on each oracle tower, zero and constant factors
+    among them."""
+    for params in ORACLE_TOWERS:
+        t = make_tower(*params)
+        rng = random.Random(f"bivariate-mul:{params}")
+        grids = list(_oracle_grids(t, rng))
+        pairs = [(rng.choice(grids), rng.choice(grids)) for _ in range(20)]
+        for fg in pairs + [(grids[-3], grids[0]), (grids[-2], grids[1]),
+                           (grids[1], grids[-1])]:
+            yield t, fg
+
+
+def test_mul_against_dict_oracle():
+    for t, fg in _oracle_pairs():
+        top = t.top
         f, g = (BivarPoly(t, grid) for grid in fg)
         product = mul(f, g)
+        assert product == BivarPoly(t, grid_mul(top, *fg))
         expect = {}
         for i, row in enumerate(fg[0]):
             for j, a in enumerate(row):
@@ -224,9 +252,35 @@ def test_mul_against_dict_oracle():
                                               top.mul(a, b))
         for (i, j), v in expect.items():
             assert product.coeff(i, j) == v
-        mi = max(i for (i, j), v in expect.items() if v)
-        mj = max(j for (i, j), v in expect.items() if v)
-        assert product.bidegree == (mi, mj)
+        nonzero = [key for key, v in expect.items() if v] or [(0, 0)]
+        assert product.bidegree == (max(i for i, j in nonzero),
+                                    max(j for i, j in nonzero))
+
+
+def test_apply_sigma_and_norm_poly_against_frob_enc():
+    for params in ORACLE_TOWERS:
+        t = make_tower(*params)
+        rng = random.Random(f"bivariate-sigma:{params}")
+        for grid in _oracle_grids(t, rng):
+            f = BivarPoly(t, grid)
+            for i in range(t.n):
+                expect = BivarPoly(t, grid_sigma(t, grid, i))
+                assert apply_sigma(f, i) == expect
+            assert norm_poly(f) == BivarPoly(t, grid_norm(t, grid))
+
+
+def test_mul_and_apply_sigma_refuse_what_is_not_a_curve():
+    """Each raised a bare AttributeError on an int."""
+    t = make_tower(3, 1, 2)
+    f = bilinear(t, 1, 3, 6, 0)
+    for call in (lambda: mul(f, 3), lambda: mul(3, f),
+                 lambda: apply_sigma(3), lambda: apply_sigma(((1,),), 1)):
+        with pytest.raises(UsageError, match="must be a BivarPoly"):
+            call()
+    for i in (-1, 2, 1.0, True, "1", None):
+        with pytest.raises(OutOfRange, match="Frobenius power"):
+            apply_sigma(f, i)
+    assert apply_sigma(f, 0) == f
 
 
 def test_apply_sigma_is_coefficientwise():

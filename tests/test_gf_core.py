@@ -23,8 +23,10 @@ from permrf import (
     LinearizedPoly,
     RatFuncSpec,
     basis_det_b,
+    bivariate,
     build_f2,
     classify_c,
+    conjugate_factor_search,
     dual_basis,
     eval_poly,
     eval_rf,
@@ -747,24 +749,26 @@ def test_constructors_refuse_what_is_not_a_tower(build, not_a_tower):
 
 
 def test_cache_clear_frees_the_towers_the_memos_hold():
-    """The pair scan, the level set, the identity map and the rendering
-    memo are keyed by a tower; cache_clear clears them too, so a tower
-    it forgets is freed."""
+    """The pair scan, the level set, the identity map, the rendering memo
+    and the factor search's edge roots are keyed by a tower; cache_clear
+    clears them too, so a tower it forgets is freed."""
     make_tower.cache_clear()
     t = make_tower(3, 1, 2)
     pairwise_criterion(t, 3, 1)
     classify_c(t, 3)
     RatFuncSpec(t, 3, 1)
     t.pretty_enc(7)
+    # A symmetric curve's top row and right column are one edge.
+    assert conjugate_factor_search(build_f2(t, 3, 1)) == (3, 6, 0)
     memos = (ratfunc._pair_scan, ratfunc._level_set, linmaps._identity,
-             gf_core._pretty)
-    assert [m.cache_info().currsize for m in memos] == [1, 1, 1, 1]
+             gf_core._pretty, bivariate._edge_roots)
+    assert [m.cache_info().currsize for m in memos] == [1, 1, 1, 1, 1]
     ref = weakref.ref(t)
     del t
     make_tower.cache_clear()
     gc.collect()
     assert ref() is None
-    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 2), (5, 1, 3)])
