@@ -188,6 +188,18 @@ def _conjugate_product(tower, a, k):
     return coeffs
 
 
+@lru_cache(maxsize=1)
+def _curve_logs(tower, b):
+    """The logarithms of the coefficients of Q = P/(T + b) and of P, None
+    for 0.  They depend on (tower, b) alone, and sweeps hold b while c
+    varies."""
+    log = tower.top._log
+    q_coeffs = _conjugate_product(tower, tower.frob_table[b], tower.n - 1)
+    p_coeffs = _conjugate_product(tower, b, tower.n)
+    return (tuple(log[x] for x in q_coeffs),
+            tuple(log[x] for x in p_coeffs))
+
+
 def _curve(tower, b, c, n, with_norm):
     """The divided difference f of r = N/P, or with with_norm false the
     Bezoutian P(X) P(Y) - f = Tr(c Q(X) Q(Y)), Q = P/(T + b)."""
@@ -195,15 +207,13 @@ def _curve(tower, b, c, n, with_norm):
         raise UnsupportedDegree(f"this curve is specific to degree {n}")
     _check_bc(tower, b, c)
     top, trace = tower.top, tower.trace_table
-    exp, log, lc = top._exp, top._log, top._log[c]
+    exp, lc = top._exp, top._log[c]
+    lqs, lps = _curve_logs(tower, b)
     # log None for 0; (log c + log x) mod (size - 1) + log y indexes exp.
-    lqs = [log[x] for x in _conjugate_product(tower, tower.frob_table[b],
-                                              n - 1)]
     grid = [[0 if None in (lx, ly) else
              trace[exp[(lc + lx) % (tower.size - 1) + ly]] for ly in lqs]
             + [0] for lx in lqs] + [[0] * (n + 1)]
     if with_norm:
-        lps = [log[x] for x in _conjugate_product(tower, b, n)]
         grid = [[top.sub(0 if None in (lx, ly) else exp[lx + ly], t)
                  for ly, t in zip(lps, row)] for lx, row in zip(lps, grid)]
     return _poly(tower, grid)
@@ -263,7 +273,7 @@ def _edge_roots(tower, edge):
                  and tuple(_conjugate_product(tower, x, tower.n)) == edge)
 
 
-_tower_memos.append(_edge_roots)
+_tower_memos.extend((_curve_logs, _edge_roots))
 
 
 def conjugate_factor_search(f):

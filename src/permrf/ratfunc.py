@@ -29,8 +29,10 @@ log(1/(x0+b)) are read once; and row x0 of the scan, log(1/(x0+b)) with
 the logs after it, is sliced the first time a scan reaches it.  The rows
 hold at most q(q-1)/2 references: 0.26 MB at q = 256, about 67 MB at
 q = 4096, the largest q the default budget admits.  A call then checks c
-with one comparison, reads log c and scans, one exp lookup and one trace
-lookup per pair.  The first pair it finds is the witness of
+with one comparison, reads log c and scans, one read per pair of the
+tower's table tr[k] = Tr(g^k) over every index k of exp (_trace_powers,
+1 B per entry when q <= 256 and 2 B otherwise), which the first scan on
+a tower builds.  The first pair it finds is the witness of
 pairwise_criterion and kernel_criterion, which through them serve
 is_permutation, `permrf check --method pairwise` and the per-case suite
 checks.
@@ -43,8 +45,9 @@ c -> Tr(c*d) is F_q-linear.  In the log domain it is the level set
 the complement of a union of rotations: one shift and OR of a (q^n - 1)-bit
 int per pair, and none of the pair scan.  The two routes share only the
 per-(tower, b) memo's b check and logarithms; classify_c never reads or
-builds a row.  The direct and reduced tests do their own field
-arithmetic and touch neither, so they stay independent checks of both.
+builds a row or the trace table.  The direct and reduced tests do their
+own field arithmetic and touch neither, so they stay independent checks
+of both.
 
 Direct evaluation visits every element once, in ascending order.
 c/(Tr(x) + b) depends on x only through Tr(x), so its q values are
@@ -65,6 +68,7 @@ call; a zero operand or zero sum is resolved from the other operand's
 logarithm.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -268,7 +272,7 @@ def is_permutation_reduced(tower, b, c):
 @lru_cache(maxsize=1, typed=True)
 def _pair_scan(tower, b):
     """The pair state for one (tower, b), after b is checked:
-    (size, log, exp, trace, order, ilog, rows).
+    [size, log, order, ilog, rows, tr].
 
     ilog[x0] = log(1/(x0 + b)) for x0 = 0 .. q-1, read off the log table
     rather than computed as -log(x0 + b) mod (size - 1), so the entries
@@ -277,22 +281,50 @@ def _pair_scan(tower, b):
     rows[x0] stays None until a scan first reaches row x0 and sets it to
     (ilog[x0], ilog[x0 + 1:]).  Rows are addressed by x0, so interleaved
     scans neither skip nor repeat one; together they hold at most
-    q(q-1)/2 references.  classify_c reads only ilog.  A failed check
+    q(q-1)/2 references.  tr stays None until the first scan sets it to
+    _trace_powers(tower).  classify_c reads only ilog.  A failed check
     raises before anything is cached, so a hit implies a valid b.
     """
     _check_b(tower, b)
     top = tower.top
     log = top._log
     ilog = tuple(log[top.inv(top.add(x0, b))] for x0 in range(tower.q))
-    return (tower.size, log, top._exp, tower.trace_table,
-            tower.size - 1, ilog, [None] * (tower.q - 1))
+    return [tower.size, log, tower.size - 1, ilog, [None] * (tower.q - 1),
+            None]
+
+
+@lru_cache(maxsize=None)
+def _trace_powers(tower):
+    """tr[k] = Tr(g^k) for every index k of exp, 2(size - 1) - 1 entries:
+    bytes when q <= 256, else array('H') read through exp.
+
+    With run = (size - 1)/(q - 1), w = g^run lies in F_q*, so
+    Tr(g^(k + run)) = w Tr(g^k).  At q <= 256 only the first run of
+    entries is read through exp and the trace table; each later run is
+    the one before it through bytes.translate by y -> w*y, and the second
+    half, as in exp, repeats the first.  At q = 2 the first run is all of
+    it.
+    """
+    q, exp, trace = tower.q, tower.top._exp, tower.trace_table
+    if q > 256:
+        return array("H", map(trace.__getitem__, exp))
+    run = (tower.size - 1) // (q - 1)
+    w = exp[run]
+    scale = bytes(tower.mid.mul(y, w) for y in range(q)).ljust(256, b"\0")
+    half = [bytes(map(trace.__getitem__, islice(exp, run)))]
+    for _ in range(q - 2):
+        half.append(half[-1].translate(scale))
+    half = b"".join(half)
+    # Through a memoryview, no copy of the first half is made.
+    return half + memoryview(half)[:-1]
 
 
 def _first_pair(tower, b, c, target):
     """The first pair x0 < y0 in F_q, rows x0 ascending, with
     Tr(c/((x0+b)(y0+b))) == target; None when there is none.  b is
     checked before c."""
-    size, log, exp, trace, order, ilog, rows = _pair_scan(tower, b)
+    state = _pair_scan(tower, b)
+    size, log, order, ilog, rows, tr = state
     try:
         if not 0 < c < size:
             _check_bc(tower, b, c)
@@ -301,6 +333,10 @@ def _first_pair(tower, b, c, target):
         # A c such as 2.0 passes the range test; _check_bc refuses it.
         _check_bc(tower, b, c)
         raise
+    if tr is None:
+        # Kept in the state, not looked up: an lru_cache hit per call
+        # cost 5% of a kernel-plus-pairwise sweep of small towers.
+        tr = state[-1] = _trace_powers(tower)
     x0 = 0
     for row in rows:
         if row is None:
@@ -308,7 +344,7 @@ def _first_pair(tower, b, c, target):
         lx, tail = row
         r = (lc + lx) % order
         for ly in tail:
-            if trace[exp[r + ly]] == target:
+            if tr[r + ly] == target:
                 # ilog's entries are distinct: index finds this ly.
                 return x0, x0 + 1 + tail.index(ly)
         x0 += 1
@@ -319,14 +355,15 @@ def pairwise_criterion(tower, b, c):
     """ok is False on the first pair x0 < y0 with Tr(c/((x0+b)(y0+b))) = 1,
     reported as the witness."""
     pair = _first_pair(tower, b, c, 1)
-    return Criterion(pair is None, pair)
+    # tuple.__new__ skips the Python frame of the NamedTuple's __new__.
+    return tuple.__new__(Criterion, (pair is None, pair))
 
 
 def kernel_criterion(tower, b, c):
     """exists is True on the first pair x0 < y0 with
     Tr(c/((x0+b)(y0+b))) = 0, reported as the witness."""
     pair = _first_pair(tower, b, c, 0)
-    return KernelCriterion(pair is not None, pair)
+    return tuple.__new__(KernelCriterion, (pair is not None, pair))
 
 
 @lru_cache(maxsize=2)
@@ -343,7 +380,7 @@ def _level_set(tower, target):
     return level | level << order
 
 
-_tower_memos.extend((_pair_scan, _level_set))
+_tower_memos.extend((_pair_scan, _trace_powers, _level_set))
 
 
 def _pair_free_c(tower, b, target):
@@ -357,7 +394,7 @@ def _pair_free_c(tower, b, target):
     """
     order = tower.size - 1
     period = order // (tower.q - 1) if target == 0 else order
-    *_, ilog, _ = _pair_scan(tower, b)
+    ilog = _pair_scan(tower, b)[3]
     shifts = {(lx + ly) % period
               for i, lx in enumerate(ilog) for ly in ilog[i + 1:]}
     level = _level_set(tower, target)

@@ -5,6 +5,7 @@ schoolbook polynomial products with trial-division irreducibility,
 no shared code with the package.
 """
 
+import array
 import copy
 import functools
 import gc
@@ -505,6 +506,44 @@ def test_tables_share_the_exp_and_log_int_objects(params):
         assert all(id(z) in exp_ids for z in zech)
 
 
+@pytest.mark.parametrize("p,m,n,g,h", TABLE_TOWERS + (
+    (2, 1, 16, None, None), (2, 9, 2, None, None)))
+def test_trace_powers_match_trace_of_exp(p, m, n, g, h):
+    """The pair kernel's table tr[k] = Tr(g^k), built at q <= 256 from
+    one gathered run of (size - 1)/(q - 1) entries scaled by g^run in
+    F_q, equals the trace table read through exp at each of its
+    2(size - 1) - 1 indexes.  2:16 is a single run (q = 2) and 2^9:2
+    (q = 512) holds 16-bit entries read through exp."""
+    t = make_tower(p, m, n, g=g, h=h)
+    tr = ratfunc._trace_powers(t)
+    order = t.size - 1
+    assert type(tr) is (bytes if t.q <= 256 else array.array)
+    assert len(tr) == 2 * order - 1
+    exp, trace = t.top._exp, t.trace_table
+    assert all(tr[k] == trace[exp[k]] for k in range(len(tr)))
+
+
+@pytest.mark.parametrize("params", [(2, 8, 2), (2, 1, 16), (3, 5, 2)])
+def test_trace_powers_memory(params):
+    """At q <= 256 the table keeps one byte per entry, 2 B per field
+    element and 190 B of object and memo overhead, and its build peaks
+    at about 3.05 B: the first half beside the whole.  A list table would
+    keep 16 B per element; copying the first half for the second, or
+    joining every run twice, peaked at about 3.9 B."""
+    t = make_tower(*params)
+    ratfunc._trace_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ratfunc._trace_powers(t)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        ratfunc._trace_powers.cache_clear()
+    assert kept - before <= 2 * t.size + 256
+    assert peak - before <= 3.2 * t.size
+
+
 def test_trace_table_shares_the_middle_fields_int_objects():
     """At m = 1 the middle field is a degree-1 extension whose add returns
     its exp table's int objects, so the trace table holds at most q
@@ -749,7 +788,8 @@ def test_constructors_refuse_what_is_not_a_tower(build, not_a_tower):
 
 
 def test_cache_clear_frees_the_towers_the_memos_hold():
-    """The pair scan, the level set, the identity map, the rendering memo
+    """The pair scan, the pair kernel's trace table, the level set, the
+    identity map, the rendering memo, the curve's coefficient logarithms
     and the factor search's edge roots are keyed by a tower; cache_clear
     clears them too, so a tower it forgets is freed."""
     make_tower.cache_clear()
@@ -760,15 +800,16 @@ def test_cache_clear_frees_the_towers_the_memos_hold():
     t.pretty_enc(7)
     # A symmetric curve's top row and right column are one edge.
     assert conjugate_factor_search(build_f2(t, 3, 1)) == (3, 6, 0)
-    memos = (ratfunc._pair_scan, ratfunc._level_set, linmaps._identity,
-             gf_core._pretty, bivariate._edge_roots)
-    assert [m.cache_info().currsize for m in memos] == [1, 1, 1, 1, 1]
+    memos = (ratfunc._pair_scan, ratfunc._trace_powers, ratfunc._level_set,
+             linmaps._identity, gf_core._pretty, bivariate._curve_logs,
+             bivariate._edge_roots)
+    assert [m.cache_info().currsize for m in memos] == [1] * len(memos)
     ref = weakref.ref(t)
     del t
     make_tower.cache_clear()
     gc.collect()
     assert ref() is None
-    assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0, 0]
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 2), (5, 1, 3)])

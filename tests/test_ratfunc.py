@@ -3,7 +3,9 @@ permutation criteria, classification, closed forms, and the degree 3
 trace-one scan.  Frozen values come from an independent implementation.
 """
 
+import array
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -12,6 +14,8 @@ import pytest
 
 from helpers import SMALL_TOWERS, seeded_map_of_rank
 from permrf import (
+    Criterion,
+    KernelCriterion,
     LinearizedPoly,
     RatFuncSpec,
     classify_c,
@@ -440,7 +444,8 @@ def test_pair_free_c_matches_reference_exhaustively(params):
 
 def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
     # They read the (tower, b) state's logarithms, but neither scans a
-    # pair nor slices a row of it.
+    # pair, slices a row of it nor builds the pair kernel's trace table.
+    ratfunc._trace_powers.cache_clear()
     cases = [(t, b) for t in (make_tower(3, 1, 2), make_tower(2, 2, 3))
              for b in range(t.q, t.size)]
     classified = [classify_c(t, b) for t, b in cases]
@@ -461,12 +466,15 @@ def test_classify_and_proposition_avoid_pair_scan(monkeypatch):
     monkeypatch.setattr(ratfunc, "_pair_scan", record)
     for (t, b), want in zip(cases, classified):
         assert classify_c(t, b) == want
-        assert states[-1][-1] == [None] * (t.q - 1)
+        *_, rows, tr = states[-1]
+        assert rows == [None] * (t.q - 1) and tr is None
     count = len(states)
     assert verify.reports_to_json(
         verify.run_suite("proposition", [4, 5, 11])) == reports
     assert len(states) > count
-    assert all(row is None for state in states for row in state[-1])
+    assert all(row is None for *_, rows, _ in states for row in rows)
+    assert all(tr is None for *_, tr in states)
+    assert ratfunc._trace_powers.cache_info().currsize == 0
 
 
 def test_one_pair_state_serves_classify_and_both_criteria():
@@ -560,18 +568,60 @@ def test_pair_scan_builds_rows_only_up_to_the_witness():
             by_row.setdefault(pair[0], c)
     assert 0 in by_row and max(by_row) >= 2
     ratfunc._pair_scan.cache_clear()
-    *_, ilog, rows = ratfunc._pair_scan(t, b)
+    *_, ilog, rows, tr = ratfunc._pair_scan(t, b)
     assert rows == [None] * (t.q - 1)
+    assert tr is None
     # The logarithms are the log table's own int objects.
     top = t.top
     assert all(lx is top._log[top.inv(top.add(x0, b))]
                for x0, lx in enumerate(ilog))
     for x0 in sorted(by_row):
         assert pairwise_criterion(t, b, by_row[x0]).witness[0] == x0
-        rows = ratfunc._pair_scan(t, b)[-1]
+        *_, rows, tr = ratfunc._pair_scan(t, b)
         assert rows[:x0 + 1] == [(ilog[i], ilog[i + 1:])
                                  for i in range(x0 + 1)]
         assert rows[x0 + 1:] == [None] * (t.q - 2 - x0)
+        assert tr is ratfunc._trace_powers(t)
+
+
+def test_pair_witnesses_match_reference_with_16_bit_table():
+    # q = 512 > 256, so the pair kernel reads an array('H') table.  At the
+    # closed form no pair has trace 1, so pairwise scans all of them.
+    t = make_tower(2, 9, 2)
+    rng = random.Random("ratfunc-2^9:2")
+    cases = [(b, closed_form_c(t, b)) for b in (t.q, 4321)]
+    cases += [(rng.randrange(t.q, t.size), rng.randrange(1, t.size))
+              for _ in range(4)]
+    for b, c in cases:
+        assert_pair_tests_match_reference(t, b, c)
+    assert pairwise_criterion(t, 4321, closed_form_c(t, 4321)).ok
+    assert type(ratfunc._pair_scan(t, 4321)[-1]) is array.array
+
+
+def test_criterion_results_are_named_tuples():
+    # Built through tuple.__new__, they keep the NamedTuple contract.
+    t = make_tower(3, 1, 2)
+    cases = ((pairwise_criterion(t, 3, 1), Criterion, ("ok", "witness"),
+              (True, None), "Criterion(ok=True, witness=None)"),
+             (pairwise_criterion(t, 3, 2), Criterion, ("ok", "witness"),
+              (False, (0, 1)), "Criterion(ok=False, witness=(0, 1))"),
+             (kernel_criterion(t, 3, 2), KernelCriterion,
+              ("exists", "witness"), (False, None),
+              "KernelCriterion(exists=False, witness=None)"),
+             (kernel_criterion(make_tower(2, 2, 2), 4, 1), KernelCriterion,
+              ("exists", "witness"), (True, (0, 1)),
+              "KernelCriterion(exists=True, witness=(0, 1))"))
+    for result, cls, fields, plain, text in cases:
+        assert type(result) is cls
+        assert cls._fields == fields
+        assert result == plain and plain == result
+        assert tuple(result) == plain
+        assert result == cls(*plain)
+        assert repr(result) == text
+        assert getattr(result, fields[0]) is plain[0]
+        assert result.witness == plain[1]
+        back = pickle.loads(pickle.dumps(result))
+        assert type(back) is cls and back == result
 
 
 def test_pair_scan_interleaved_calls_match_reference():
