@@ -103,10 +103,13 @@ class BivarPoly:
             self.tower.pretty_enc)
 
 
-def _poly(tower, grid):
-    """A trimmed BivarPoly over table reads, its entries not checked."""
+def _poly(tower, grid, trimmed=False):
+    """A trimmed BivarPoly over table reads, its entries not checked.  A
+    grid known to be trimmed already, its last row and column nonzero or
+    the zero polynomial's one entry, is only turned into tuples."""
     f = object.__new__(BivarPoly)
-    f.__dict__.update(tower=tower, grid=_trim(grid))
+    f.__dict__.update(tower=tower,
+                      grid=tuple(map(tuple, grid)) if trimmed else _trim(grid))
     return f
 
 
@@ -121,7 +124,10 @@ def bilinear(tower, xy, x, y, const):
 
 
 def mul(f, g):
-    """The product, each term exp[log a + log b], g's logs read once."""
+    """The product, each term exp[log a + log b], g's logs read once.
+    Unless a factor is 0, the product's last row is the product of the
+    factors' last rows, nonzero in an integral domain, and so is its last
+    column: it is trimmed already."""
     _check_poly(f)
     _check_poly(g, "g")
     if f.tower is not g.tower:
@@ -139,17 +145,18 @@ def mul(f, g):
                 for k, l, lb in terms:
                     o = out[i + k]
                     o[j + l] = add(o[j + l], exp[la + lb])
-    return _poly(f.tower, out)
+    return _poly(f.tower, out, trimmed=bool(terms) and any(f.grid[-1]))
 
 
 def apply_sigma(f, i=1):
-    """Apply x -> x^(q^i) to every coefficient."""
+    """Apply x -> x^(q^i) to every coefficient.  Frobenius fixes 0 and
+    no other entry maps to it, so the grid stays trimmed."""
     _check_poly(f)
     _check_frob_power(f.tower, i)
     grid = f.grid
     for _ in range(i):
         grid = [[f.tower.frob_table[x] for x in row] for row in grid]
-    return _poly(f.tower, grid)
+    return _poly(f.tower, grid, trimmed=True)
 
 
 def norm_poly(f):

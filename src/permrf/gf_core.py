@@ -53,14 +53,17 @@ slices of log at stride p.  The trace table and each chunk table of the
 step are tables of F_p-linear maps, and both grow one base-p digit at a
 time (_linear_table): the entries with top digit t are those with t - 1
 read through the digit's adder.  The trace's adder for the digit
-u^j v^k is a row of q middle-field ints, y -> y + u^j Tr(v^k), from the
-n conjugate sums Tr(v^k), so the table shares the middle field's int
-objects in either characteristic.  Frobenius
-entries are exp's int objects and Zech entries log's, so the tables of
-a field hold one int object per element.  Every table is built without
-a second list of its size beside it.  A tower of size q^n costs O(q^n)
-time and memory; make_tower refuses to build towers larger than the
-size budget.
+u^j v^k is the row y -> y + u^j Tr(v^k) of the q middle-field
+encodings, from the n conjugate sums Tr(v^k).  At q <= 256 every value
+fits a byte: each row is a bytes.translate table and the trace table is
+bytes, one byte per element.  Above, the rows hold the middle field's
+int objects, so a list of traces shares them in either characteristic.
+Frobenius entries are exp's int objects and Zech entries log's, so the
+tables of a field hold one int object per element.  Every table is
+built without a second list of its size beside it; the trace's bytes
+are copied once, from the bytearray they grow in.  A tower of size q^n
+costs O(q^n) time and memory; make_tower refuses to build towers larger
+than the size budget.
 """
 
 from functools import lru_cache, partial
@@ -124,21 +127,29 @@ def _strided(table, start, stop, stride):
                                for lo in range(start, stop, step))
 
 
-def _linear_table(p, adders, zero):
+def _linear_table(p, adders, table):
     """The table, in encoding order, of an F_p-linear map on encodings of
-    len(adders) base-p digits, with zero at 0.  adders[i] adds the image
-    of p^i, so the entries t * p^i + x for x < p^i and 1 <= t < p are the
-    entries (t - 1) * p^i + x passed through it: the table grows one
-    base-p digit at a time, each block read from the one before it."""
-    def blocks():
+    len(adders) base-p digits; table holds the entry at 0 and grows in
+    place.  adders[i] adds the image of p^i, so the entries t * p^i + x
+    for x < p^i and 1 <= t < p are the entries (t - 1) * p^i + x passed
+    through it: the table grows one base-p digit at a time, each block
+    read from the one before it.  A list's adders are functions on its
+    entries; a bytearray's are 256-byte rows, and bytes.translate passes
+    a whole block through one."""
+    def blocks(block):
         width = 1
         for adder in adders:
             for lo in range(0, (p - 1) * width, width):
-                yield map(adder, _strided(table, lo, lo + width, 1))
+                yield block(adder, lo, lo + width)
             width *= p
 
-    table = [zero]
-    table.extend(_Sized(chain.from_iterable(blocks()), p ** len(adders) - 1))
+    if type(table) is bytearray:
+        for entries in blocks(lambda row, lo, hi: table[lo:hi].translate(row)):
+            table += entries
+    else:
+        table.extend(_Sized(chain.from_iterable(blocks(
+            lambda adder, lo, hi: map(adder, _strided(table, lo, hi, 1)))),
+            p ** len(adders) - 1))
     return table
 
 
@@ -484,7 +495,7 @@ class _ExtField:
                 return tuple(map(add, y, b))
             adders = [partial(plus, tuple(reversed(self.digits(b, d))))
                       for b in products]
-        return p ** width, [_linear_table(p, adders[lo:lo + width], zero)
+        return p ** width, [_linear_table(p, adders[lo:lo + width], [zero])
                             for lo in range(0, digits, width)]
 
     def _build_zech(self):
@@ -682,7 +693,9 @@ class FieldTower:
 
     Public attributes: p, m, n, q, size, size_budget, base, mid, top,
     field_spec, frob_table, trace_table; base, mid and top are the levels'
-    arithmetic, and range(level.size) its encodings.  The *_enc methods
+    arithmetic, and range(level.size) its encodings.  frob_table is a
+    list; trace_table is bytes at q <= 256 and a list above, and both
+    index to ints, trace_table's in range(q).  The *_enc methods
     map top encodings: Frobenius, trace, norm, subfield test, and text.
     Do not construct directly: make_tower checks the parameters and spells
     out both moduli and the budget, and the constructor only builds,
@@ -726,11 +739,14 @@ class FieldTower:
     def _build_trace(self):
         """Tr is F_q-linear, so its table is a linear table
         (_linear_table): the base-p digit u^j * v^k of a top encoding adds
-        u^j * Tr(v^k), Tr(v^k) a sum of conjugates, through the q-entry
-        row y -> y + u^j * Tr(v^k), one lookup per entry.  The rows hold
-        the middle field's own int objects, so the table holds at most q
-        distinct ints."""
+        u^j * Tr(v^k), Tr(v^k) a sum of conjugates, through the row
+        y -> y + u^j * Tr(v^k) of the q middle-field encodings.  At
+        q <= 256 each value fits a byte: the rows are bytes.translate
+        rows, one call per block, and the table is bytes, 1 B per entry.
+        Above, the rows and the list they fill hold the middle field's own
+        int objects, so the table holds at most q distinct ints."""
         frob, p, q, mid = self.frob_table, self.p, self.q, self.mid
+        small = q <= 256
         canon = [0, *map(mid._exp.__getitem__, islice(mid._log, 1, q))]
         rows = []
         for k in range(self.n):
@@ -740,8 +756,10 @@ class FieldTower:
                 tr_vk = self.top.add(tr_vk, t)
             for j in range(self.m):
                 sums = map(mid.add, range(q), repeat(mid.mul(p ** j, tr_vk)))
-                rows.append(list(map(canon.__getitem__, sums)).__getitem__)
-        self.trace_table = _linear_table(p, rows, 0)
+                rows.append(bytes(sums).ljust(256, b"\0") if small
+                            else list(map(canon.__getitem__, sums)).__getitem__)
+        table = _linear_table(p, rows, bytearray(1) if small else [0])
+        self.trace_table = bytes(table) if small else table
 
     def __reduce__(self):
         return make_tower, (self.p, self.m, self.n, self.mid.modulus,

@@ -208,16 +208,24 @@ def test_mul_refuses_factors_from_two_towers():
         (0, 0, 0), (0, 0, 0), (0, 0, 1))
 
 
-ORACLE_TOWERS = ((2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 3), (2, 2, 3))
+# mul and apply_sigma skip _trim's scans where the grid is trimmed
+# already (a conjugate always, a product unless a factor is 0), so the
+# oracle tests compare whole grids, which equal the trimmed reference
+# only when that holds.
+ORACLE_TOWERS = ((2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 3), (2, 2, 3),
+                 (3, 1, 3))
 
 
 def _oracle_grids(t, rng):
-    """Random grids of up to 3 x 3 entries, about a third of them 0, then
-    the zero polynomial, a constant and a grid with a zero edge."""
+    """Random grids of up to 3 x 3 entries, about a third of them 0, a
+    row and a column of nonzero entries, then the zero polynomial, a
+    constant and a grid with a zero edge."""
     for _ in range(12):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         yield tuple(tuple(rng.choice((0, rng.randrange(1, t.size)))
                           for _ in range(cols)) for _ in range(rows))
+    yield (tuple(rng.randrange(1, t.size) for _ in range(3)),)
+    yield tuple((rng.randrange(1, t.size),) for _ in range(3))
     yield ((0,),)
     yield ((rng.randrange(1, t.size),),)
     yield ((0, rng.randrange(1, t.size)), (0, 0))

@@ -306,12 +306,15 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
     rng = random.Random(f"tables:{p}:{m}:{n}")
     for x in rng.sample(range(t.size), min(t.size, 40)):
         assert t.frob_table[x] == ref_pow(p, moduli, x, t.q)
+    expect = []
     for x in range(t.size):
         acc = conj = x
         for _ in range(n - 1):
             conj = t.frob_table[conj]
             acc = digit_add(p, acc, conj)
-        assert t.trace_table[x] == acc
+        expect.append(acc)
+    # By value: the table is bytes at q <= 256, a list above.
+    assert list(t.trace_table) == expect
 
 
 def test_cold_build_makes_few_polynomial_products(monkeypatch):
@@ -544,6 +547,18 @@ def test_trace_powers_memory(params):
     assert peak - before <= 3.2 * t.size
 
 
+@pytest.mark.parametrize("params, kind", [
+    ((2, 1, 16), bytes), ((2, 8, 2), bytes), ((3, 5, 2), bytes),
+    ((37, 1, 3), bytes), ((263, 1, 2), list), ((2, 9, 2), list),
+])
+def test_trace_table_is_bytes_exactly_when_q_fits_a_byte(params, kind):
+    """Every trace value lies in F_q: at q <= 256 the table is bytes, one
+    byte per entry, and above it a list of the middle field's ints."""
+    t = make_tower(*params)
+    assert type(t.trace_table) is kind
+    assert len(t.trace_table) == t.size
+
+
 def test_trace_table_shares_the_middle_fields_int_objects():
     """At m = 1 the middle field is a degree-1 extension whose add returns
     its exp table's int objects, so the trace table holds at most q
@@ -594,11 +609,12 @@ def test_cold_build_transient_memory(params):
     references beyond the tables it keeps.  At q = 2 the Frobenius
     table reads exp at stride 2, the widest of its strided slices.
 
-    The tables keep 72 B per element in characteristic 2 (exp's 16 B of
-    references, 8 B each for log, Frobenius and trace, and one 32 B int)
-    and 80 B on 3^5:2 (Zech's 8 B more).  The bound, 90 B, leaves 10 B of
-    margin; a second int per element, as when log made its own exponents,
-    kept 100 and 109 B."""
+    The tables keep 65 B per element in characteristic 2 (exp's 16 B of
+    references, 8 B each for log and Frobenius, 1 B for the trace's
+    bytes, and one 32 B int) and 74 B on 3^5:2 (Zech's 8 B more).  The
+    bound, 83 B, leaves about 10 B of margin; a trace table of 8 B
+    references kept 72 and 81 B, and a second int per element, as when
+    log made its own exponents, kept 100 and 109 B."""
     make_tower.cache_clear()
     tracemalloc.start()
     try:
@@ -608,7 +624,7 @@ def test_cold_build_transient_memory(params):
     finally:
         tracemalloc.stop()
     assert peak - kept <= 8 * t.size
-    assert 8 * 5 * t.size < kept - before <= 90 * t.size
+    assert 8 * 5 * t.size < kept - before <= 83 * t.size
 
 
 @pytest.mark.parametrize("params, rebuild", [
@@ -620,8 +636,11 @@ def test_table_rebuild_transient_memory(params, rebuild):
     or the Zech table at p = 3 (stride-3 slices of log) holds the new
     table, 8 B per element, and slices of at most _MAX_SLICE entries:
     about 8.5 and 9.1 B per element in all.  Whole slices read 12.0 and
-    13.4.  A cold build cannot show this, as the trace table, built
-    after both, sets its peak."""
+    13.4.  A cold build cannot show this: the tables built after the
+    Zech table keep more than its slices held, and the trace table's
+    bytes copy sets the peak at about 1 B per element beyond what the
+    build keeps, which whole Frobenius slices raise to 3 B, inside the
+    cold build's bound of one list."""
     t = make_tower(*params)
     tracemalloc.start()
     try:
