@@ -43,8 +43,8 @@ from functools import lru_cache
 from .errors import (DegreeTooSmall, LevelMismatch, UnsupportedDegree,
                      UsageError, WrongDegree)
 from .gf_core import (FieldTower, _check_bc, _check_budget, _check_enc,
-                      _check_frob_power, _check_tower, _power, _render_terms,
-                      _tower_memos)
+                      _check_frob_power, _check_tower, _conjugates, _power,
+                      _render_terms, _tower_memos)
 
 
 def _trim(grid):
@@ -153,9 +153,7 @@ def apply_sigma(f, i=1):
     no other entry maps to it, so the grid stays trimmed."""
     _check_poly(f)
     _check_frob_power(f.tower, i)
-    grid = f.grid
-    for _ in range(i):
-        grid = [[f.tower.frob_table[x] for x in row] for row in grid]
+    grid = [_conjugates(f.tower, row, i) for row in f.grid]
     return _poly(f.tower, grid, trimmed=True)
 
 
@@ -184,14 +182,15 @@ def _horner(top, coeffs, x):
     return acc
 
 
-def _conjugate_product(tower, a, k):
-    """Ascending coefficients of (T + a)(T + a^q)...(T + a^(q^(k-1)))."""
-    top, frob = tower.top, tower.frob_table
+def _conjugate_product(tower, a, first, stop):
+    """Ascending coefficients of the product of T + a^(q^i) for
+    first <= i < stop."""
+    top = tower.top
     coeffs = [1]
-    for _ in range(k):
-        coeffs = [top.add(lo, top.mul(a, hi))
+    for i in range(first, stop):
+        x = tower.frob_enc(a, i)
+        coeffs = [top.add(lo, top.mul(x, hi))
                   for lo, hi in zip([0] + coeffs, coeffs + [0])]
-        a = frob[a]
     return coeffs
 
 
@@ -201,8 +200,8 @@ def _curve_logs(tower, b):
     for 0.  They depend on (tower, b) alone, and sweeps hold b while c
     varies."""
     log = tower.top._log
-    q_coeffs = _conjugate_product(tower, tower.frob_table[b], tower.n - 1)
-    p_coeffs = _conjugate_product(tower, b, tower.n)
+    q_coeffs = _conjugate_product(tower, b, 1, tower.n)
+    p_coeffs = _conjugate_product(tower, b, 0, tower.n)
     return (tuple(log[x] for x in q_coeffs),
             tuple(log[x] for x in p_coeffs))
 
@@ -277,7 +276,7 @@ def _edge_roots(tower, edge):
     are kept per (tower, edge)."""
     return tuple(x for x in _norm_fiber(tower, edge[0])
                  if tower.trace_table[x] == edge[tower.n - 1]
-                 and tuple(_conjugate_product(tower, x, tower.n)) == edge)
+                 and tuple(_conjugate_product(tower, x, 0, tower.n)) == edge)
 
 
 _tower_memos.extend((_curve_logs, _edge_roots))

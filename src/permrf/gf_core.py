@@ -44,29 +44,28 @@ The log table is one pass over exp: the exponents 1 .. size - 2 are
 also nonzero encodings, so log[exp[v]] = v writes each exponent as the
 int object exp already holds for the encoding v, not a new one, and
 log[1] = 0 comes last.
-The Frobenius table of the top field and the Zech table are each one
-loop over strided slices of the tables, read in order: multiplying an
-exponent by q modulo q^n - 1 rotates its base-q digits, so the q-th
-powers of g^0, g^1, ... are exp at stride q, and adding 1 steps an
-encoding's lowest base-p digit, so zech[log x] = log(x + 1) pairs
-slices of log at stride p.  The trace table and each chunk table of the
-step are tables of F_p-linear maps, and both grow one base-p digit at a
-time (_linear_table): the entries with top digit t are those with t - 1
+The tower keeps no Frobenius table: x^(q^i) = exp[log x * q^i mod
+(q^n - 1)], one read, and x lies in F_(q^d) exactly when x = 0 or
+(q^n - 1)/(q^d - 1) divides log x.  The Zech table is one loop over
+strided slices of log, read in order: adding 1 steps an encoding's
+lowest base-p digit, so zech[log x] = log(x + 1) pairs slices of log at
+stride p.  The trace table and each chunk table of the step are tables
+of F_p-linear maps, and both grow one base-p digit at a time
+(_linear_table): the entries with top digit t are those with t - 1
 read through the digit's adder.  The trace's adder for the digit
 u^j v^k is the row y -> y + u^j Tr(v^k) of the q middle-field
 encodings, from the n conjugate sums Tr(v^k).  At q <= 256 every value
 fits a byte: each row is a bytes.translate table and the trace table is
 bytes, one byte per element.  Above, the rows hold the middle field's
 int objects, so a list of traces shares them in either characteristic.
-Frobenius entries are exp's int objects and Zech entries log's, so the
-tables of a field hold one int object per element.  Every table is
-built without a second list of its size beside it; the trace's bytes
-are copied once, from the bytearray they grow in.  A tower of size q^n
-costs O(q^n) time and memory; make_tower refuses to build towers larger
-than the size budget.
+Zech entries are log's int objects, so the tables of a field hold one
+int object per element.  Every table is built without a second list of
+its size beside it; the trace's bytes are copied once, from the
+bytearray they grow in.  A tower of size q^n costs O(q^n) time and
+memory; make_tower refuses to build towers larger than the size budget.
 """
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import add, floordiv, itemgetter, mod, mul, pos, xor
 
@@ -651,6 +650,14 @@ def _check_bc(tower, b, c):
         raise CZero("c must be nonzero")
 
 
+def _conjugates(tower, values, i):
+    """[x^(q^i) for x in values] on the log tables, as frob_enc reads
+    each: exp[log x * q^i mod (q^n - 1)], 0 for 0."""
+    top, order = tower.top, tower.size - 1
+    exp, log, e = top._exp, top._log, tower.q ** i % order
+    return [exp[log[x] * e % order] if x else 0 for x in values]
+
+
 def _size_budget(size_budget):
     """The budget a tower built with size_budget carries:
     DEFAULT_SIZE_BUDGET for None.  Any other budget must be an int: 1.0
@@ -693,9 +700,11 @@ class FieldTower:
 
     Public attributes: p, m, n, q, size, size_budget, base, mid, top,
     field_spec, frob_table, trace_table; base, mid and top are the levels'
-    arithmetic, and range(level.size) its encodings.  frob_table is a
-    list; trace_table is bytes at q <= 256 and a list above, and both
-    index to ints, trace_table's in range(q).  The *_enc methods
+    arithmetic, and range(level.size) its encodings.  trace_table is
+    bytes at q <= 256 and a list above, and indexes to ints in range(q).
+    frob_table, the list of x^q, is built on first read and kept: no
+    program path reads it, since every Frobenius image is one read of the
+    top field's exp and log tables (frob_enc).  The *_enc methods
     map top encodings: Frobenius, trace, norm, subfield test, and text.
     Do not construct directly: make_tower checks the parameters and spells
     out both moduli and the budget, and the constructor only builds,
@@ -716,10 +725,10 @@ class FieldTower:
         self.base = self.mid.ground
         self.top = _ExtField(self.mid, h)
         self._norm_exp = (self.size - 1) // (self.q - 1)
-        self._build_frobenius()
         self._build_trace()
 
-    def _build_frobenius(self):
+    @cached_property
+    def frob_table(self):
         """The permutation table of x -> x^q, walked in exponent order.
 
         Multiplying by q mod q^n - 1 rotates base-q digits: for
@@ -727,33 +736,36 @@ class FieldTower:
         g^0, g^1, ..., g^(q^n - 1) = 1 are the q slices
         exp[a:a + q^n:q] one after another, each q^(n-1) long, and one
         loop writes frob[g^i] = image.  Its entries are the exp table's
-        int objects, not new ones."""
+        int objects, not new ones.  Built on first read, 8 B per element;
+        the program itself reads Frobenius images off the log tables."""
         exp, q, size = self.top._exp, self.q, self.size
         frob = [0] * size
         images = chain.from_iterable(_strided(exp, a, a + size, q)
                                      for a in range(q))
         for x, y in zip(exp, images):
             frob[x] = y
-        self.frob_table = frob
+        return frob
 
     def _build_trace(self):
         """Tr is F_q-linear, so its table is a linear table
         (_linear_table): the base-p digit u^j * v^k of a top encoding adds
-        u^j * Tr(v^k), Tr(v^k) a sum of conjugates, through the row
+        u^j * Tr(v^k), Tr(v^k) the sum of the n conjugates
+        exp[log v^k * q^i mod (q^n - 1)], through the row
         y -> y + u^j * Tr(v^k) of the q middle-field encodings.  At
         q <= 256 each value fits a byte: the rows are bytes.translate
         rows, one call per block, and the table is bytes, 1 B per entry.
         Above, the rows and the list they fill hold the middle field's own
         int objects, so the table holds at most q distinct ints."""
-        frob, p, q, mid = self.frob_table, self.p, self.q, self.mid
+        p, q, mid, top = self.p, self.q, self.mid, self.top
+        exp, log, order = top._exp, top._log, self.size - 1
         small = q <= 256
         canon = [0, *map(mid._exp.__getitem__, islice(mid._log, 1, q))]
         rows = []
         for k in range(self.n):
-            tr_vk = t = q ** k
-            for _ in range(self.n - 1):
-                t = frob[t]
-                tr_vk = self.top.add(tr_vk, t)
+            lv = log[q ** k]
+            tr_vk = q ** k
+            for i in range(1, self.n):
+                tr_vk = top.add(tr_vk, exp[lv * q ** i % order])
             for j in range(self.m):
                 sums = map(mid.add, range(q), repeat(mid.mul(p ** j, tr_vk)))
                 rows.append(bytes(sums).ljust(256, b"\0") if small
@@ -774,11 +786,15 @@ class FieldTower:
     # 2.0 and True pass a range test, then fail in range() or count as 1.
 
     def frob_enc(self, a, i=1):
+        """a^(q^i).  Multiplying log a by q^i mod q^n - 1 rotates its
+        base-q digits, so the image is one read of exp; no table of x^q
+        is read or built."""
         _check_enc(self, a, "element")
         _check_frob_power(self, i)
-        for _ in range(i):
-            a = self.frob_table[a]
-        return a
+        if a == 0:
+            return 0
+        top = self.top
+        return top._exp[top._log[a] * self.q ** i % (self.size - 1)]
 
     def trace_enc(self, a):
         _check_enc(self, a, "element")
@@ -791,26 +807,33 @@ class FieldTower:
         return self.top.pow(a, self._norm_exp)
 
     def in_subfield_enc(self, a, d):
+        """Whether a lies in F_(q^d), d a divisor of n: F_(q^d)* is the
+        subgroup of order q^d - 1, so a is 0 or (q^n - 1)/(q^d - 1)
+        divides log a, one test whatever d is."""
         _check_enc(self, a, "element")
         if type(d) is not int or d < 1 or self.n % d != 0:
             raise NonDivisorDegrees(
                 f"degree {d!r} is not an int dividing {self.n}")
-        t = a
-        for _ in range(d):
-            t = self.frob_table[t]
-        return t == a
+        return a == 0 or (
+            self.top._log[a] % ((self.size - 1) // (self.q ** d - 1)) == 0)
 
     def trace_rel_enc(self, a, frm, to):
-        """Relative trace from F_{q^frm} down to F_{q^to}."""
+        """Relative trace from F_{q^frm} down to F_{q^to}: the sum of
+        a^(q^i) for i = 0, to, 2 to, ... below frm, each read off exp as
+        frob_enc reads it."""
         if (type(frm) is not int or type(to) is not int or frm < 1
                 or to < 1 or frm % to != 0 or self.n % frm != 0):
             raise NonDivisorDegrees(f"need ints with to | frm | n, "
                                     f"got to={to!r} frm={frm!r} n={self.n}")
         if not self.in_subfield_enc(a, frm):
             raise NotInSubfield(f"encoding {a} is not in F_q^{frm}")
+        if a == 0:
+            return 0
+        top, q, order = self.top, self.q, self.size - 1
+        exp, la = top._exp, top._log[a]
         acc = 0
         for i in range(0, frm, to):
-            acc = self.top.add(acc, self.frob_enc(a, i))
+            acc = top.add(acc, exp[la * q ** i % order])
         return acc
 
     # Rendering.

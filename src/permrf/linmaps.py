@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from . import _linalg
 from .errors import LevelMismatch, NotABasis, NotBijective, UsageError
-from .gf_core import FieldTower, _check_enc, _check_tower, _tower_memos
+from .gf_core import (FieldTower, _check_enc, _check_tower, _conjugates,
+                      _tower_memos)
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,18 @@ class LinearizedPoly:
         return self.coeffs == (1,) + (0,) * (self.tower.n - 1)
 
     def eval_enc(self, x):
-        top = self.tower.top
-        frob = self.tower.frob_table
+        """sum a_i x^(q^i), each term one read of exp:
+        a_i x^(q^i) = exp[log a_i + (log x * q^i mod (q^n - 1))]."""
+        if x == 0:
+            return 0
+        tower = self.tower
+        top = tower.top
+        exp, log, add = top._exp, top._log, top.add
+        lx, q, order = log[x], tower.q, tower.size - 1
         acc = 0
-        t = x
-        for a in self.coeffs:
+        for i, a in enumerate(self.coeffs):
             if a:
-                acc = top.add(acc, top.mul(a, t))
-            t = frob[t]
+                acc = add(acc, exp[log[a] + lx * q ** i % order])
         return acc
 
 
@@ -125,14 +130,13 @@ def invert_lin(L):
     M o L has sum_j m_j a_(k-j)^(q^j) at x^(q^k), linear in the m_j, so
     M o L = x is the row system m D = e_0 over the top field, with the
     Dickson matrix D[j][k] = a_((k-j) mod n)^(q^j); D is singular exactly
-    when L is.  Row j + 1 is row j shifted right and raised to the q.
+    when L is.  Row j is the coefficients shifted right j places, each
+    raised to the q^j on the log tables.
     """
     _check_map(L)
     tower = L.tower
-    frob = tower.frob_table
-    rows = [list(L.coeffs)]
-    for _ in range(1, tower.n):
-        rows.append([frob[a] for a in rows[-1][-1:] + rows[-1][:-1]])
+    a = L.coeffs
+    rows = [_conjugates(tower, a[-j:] + a[:-j], j) for j in range(tower.n)]
     inv = _linalg.inv_matrix(tower.top, rows)
     if inv is None:
         raise NotBijective("linear map has a nontrivial kernel")
@@ -156,9 +160,7 @@ def dual_basis(tower, basis):
         raise NotABasis(f"need exactly {n} elements, got {len(encs)}")
     for e in encs:
         _check_enc(tower, e, "basis")
-    rows = [encs]
-    for _ in range(1, n):
-        rows.append([tower.frob_table[w] for w in rows[-1]])
+    rows = [_conjugates(tower, encs, i) for i in range(n)]
     inv = _linalg.inv_matrix(tower.top, rows)
     if inv is None:
         raise NotABasis("the elements are dependent over the middle field")

@@ -317,6 +317,90 @@ def test_tables_match_polynomial_reference(p, m, n, g, h):
     assert list(t.trace_table) == expect
 
 
+@pytest.mark.parametrize("p,m,n,g,h", TABLE_TOWERS)
+def test_log_route_matches_frobenius_table(p, m, n, g, h):
+    """frob_enc, in_subfield_enc, trace_rel_enc and apply_sigma read
+    x^(q^i) off the exp and log tables; each equals i reads of
+    frob_table and top.pow at every encoding."""
+    t = make_tower(p, m, n, g=g, h=h)
+    top, q, frob = t.top, t.q, t.frob_table
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for a in range(t.size):
+        conj = a
+        for i in range(n):
+            assert t.frob_enc(a, i) == conj == top.pow(a, q ** i)
+            conj = frob[conj]
+        for d in divisors:
+            assert t.in_subfield_enc(a, d) == (top.pow(a, q ** d) == a)
+    for frm in divisors:
+        for to in (d for d in divisors if frm % d == 0):
+            for a in (a for a in range(t.size) if t.in_subfield_enc(a, frm)):
+                acc = conj = a
+                for _ in range(frm // to - 1):
+                    for _ in range(to):
+                        conj = frob[conj]
+                    acc = top.add(acc, conj)
+                assert t.trace_rel_enc(a, frm, to) == acc
+    rng = random.Random(f"log-route:{p}:{m}:{n}")
+    grid = [[rng.randrange(t.size) for _ in range(4)] for _ in range(3)]
+    grid[-1][-1] = grid[0][0] = 1
+    f = BivarPoly(t, grid)
+    sigma = grid
+    for i in range(n):
+        assert bivariate.apply_sigma(f, i).grid == tuple(map(tuple, sigma))
+        sigma = [[frob[x] for x in row] for row in sigma]
+
+
+def test_no_program_path_builds_the_frobenius_table(capsys):
+    """Every program path reads Frobenius images off the log tables: after
+    direct, reduced and pairwise checks, normalize_spec, the linear-map
+    routines and the CLI on cold towers, no cached tower holds
+    frob_table, and its first read then gives the table of x^q."""
+    from permrf import cli
+
+    make_tower.cache_clear()
+    gc.collect()
+    old = [o for o in gc.get_objects() if isinstance(o, gf_core.FieldTower)]
+    checked = []
+    for params in ((2, 8, 2), (3, 5, 2), (3, 1, 3)):
+        t = make_tower(*params)
+        checked.append(t)
+        rng = random.Random(f"no-frob-table:{params}")
+        b = rng.randrange(t.q, t.size)
+        c = ratfunc.closed_form_c(t, b)
+        a = rng.randrange(1, t.size)
+        L = LinearizedPoly(t, (0, a))
+        assert ratfunc.is_permutation_direct(RatFuncSpec(t, b, c))
+        twisted = RatFuncSpec(t, b, t.top.mul(a, c), L)
+        assert ratfunc.is_permutation_direct(twisted)
+        assert ratfunc.normalize_spec(twisted)[0].c == c
+        assert ratfunc.is_permutation_reduced(t, b, c)
+        assert pairwise_criterion(t, b, c).ok
+        if t.size < 100:
+            assert c in classify_c(t, b)
+        else:
+            with pytest.raises(SizeBudgetExceeded):
+                classify_c(t, b)
+        linmaps.invert_lin(L)
+        dual_basis(t, [t.q ** k for k in range(t.n)])
+        assert len(trace_decompose(L)) == t.n
+    for argv in (("verify", "--suite", "factorizations", "--q", "2,3",
+                  "--workers", "1"),
+                 ("verify", "--suite", "corollary", "--q", "2",
+                  "--workers", "1"),
+                 *(("field", "--field", t.field_spec) for t in checked)):
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    built = [o for o in gc.get_objects() if isinstance(o, gf_core.FieldTower)
+             and not any(o is t for t in old)]
+    assert len(built) >= make_tower.cache_info().currsize > len(checked)
+    for t in built:
+        assert "frob_table" not in vars(t), t
+    for t in checked:
+        assert t.frob_table == [t.top.pow(x, t.q) for x in range(t.size)]
+        assert "frob_table" in vars(t)
+
+
 def test_cold_build_makes_few_polynomial_products(monkeypatch):
     """The exp tables step by table lookups, not one polynomial product
     per element.  x -> x * g is F_p-linear, so the step images cost
@@ -491,17 +575,19 @@ def test_generator_search_tests_the_norm_first(monkeypatch):
 def test_tables_share_the_exp_and_log_int_objects(params):
     """Log entries are the exp table's int objects, an exponent v being
     the object exp holds for the encoding v; log[1] = 0 is the one
-    exponent that is no nonzero encoding.  Frobenius entries are exp's
-    objects and Zech entries log's, so every table of the field points at
-    one int per element.  Both fields have values above 256, which
-    CPython does not share."""
+    exponent that is no nonzero encoding.  Frobenius entries, built on
+    the first read of frob_table, are exp's objects and Zech entries
+    log's, so every table of the field points at one int per element.
+    Both fields have values above 256, which CPython does not share."""
     make_tower.cache_clear()
     t = make_tower(*params)
+    assert "frob_table" not in vars(t)
     exp_ids = {id(x) for x in t.top._exp}
     assert t.top._log[1] == 0
     assert all(id(k) in exp_ids for k in t.top._log[2:])
     assert t.frob_table[0] == 0
     assert all(id(y) in exp_ids for y in t.frob_table[1:])
+    assert vars(t)["frob_table"] is t.frob_table
     if t.p != 2:
         log_ids = {id(k) for k in t.top._log}
         zech = [z for z in t.top._zech if z is not None]
@@ -606,15 +692,14 @@ def test_generator_search_skips_the_ground(monkeypatch):
 @pytest.mark.parametrize("params", [(2, 8, 2), (3, 5, 2), (2, 1, 15)])
 def test_cold_build_transient_memory(params):
     """Building a tower's tables holds at most one list of size
-    references beyond the tables it keeps.  At q = 2 the Frobenius
-    table reads exp at stride 2, the widest of its strided slices.
+    references beyond the tables it keeps.
 
-    The tables keep 65 B per element in characteristic 2 (exp's 16 B of
-    references, 8 B each for log and Frobenius, 1 B for the trace's
-    bytes, and one 32 B int) and 74 B on 3^5:2 (Zech's 8 B more).  The
-    bound, 83 B, leaves about 10 B of margin; a trace table of 8 B
-    references kept 72 and 81 B, and a second int per element, as when
-    log made its own exponents, kept 100 and 109 B."""
+    The tables keep 57 B per element in characteristic 2 (exp's 16 B of
+    references, 8 B for log, 1 B for the trace's bytes, and one 32 B
+    int) and 65.8 B on 3^5:2 (Zech's 8 B more).  The bound, 75 B,
+    leaves about 10 B of margin, so any 8 B table added to the build
+    fails it: a built Frobenius table kept 65 and 74 B, and a second int
+    per element, as when log made its own exponents, 100 B and more."""
     make_tower.cache_clear()
     tracemalloc.start()
     try:
@@ -624,23 +709,22 @@ def test_cold_build_transient_memory(params):
     finally:
         tracemalloc.stop()
     assert peak - kept <= 8 * t.size
-    assert 8 * 5 * t.size < kept - before <= 83 * t.size
+    assert 8 * 5 * t.size < kept - before <= 75 * t.size
+    assert "frob_table" not in vars(t)
 
 
 @pytest.mark.parametrize("params, rebuild", [
-    ((2, 1, 16), lambda t: t._build_frobenius()),
+    ((2, 1, 16), lambda t: type(t).frob_table.func(t)),
     ((3, 5, 2), lambda t: t.top._build_zech()),
 ])
 def test_table_rebuild_transient_memory(params, rebuild):
-    """Rebuilding the Frobenius table at q = 2 (stride-2 slices of exp)
-    or the Zech table at p = 3 (stride-3 slices of log) holds the new
-    table, 8 B per element, and slices of at most _MAX_SLICE entries:
-    about 8.5 and 9.1 B per element in all.  Whole slices read 12.0 and
-    13.4.  A cold build cannot show this: the tables built after the
-    Zech table keep more than its slices held, and the trace table's
-    bytes copy sets the peak at about 1 B per element beyond what the
-    build keeps, which whole Frobenius slices raise to 3 B, inside the
-    cold build's bound of one list."""
+    """Building the Frobenius table at q = 2 (stride-2 slices of exp),
+    through the builder behind its first read, or rebuilding the Zech
+    table at p = 3 (stride-3 slices of log) holds the new table, 8 B per
+    element, and slices of at most _MAX_SLICE entries: about 8.5 and 9.1
+    B per element in all.  Whole slices read 12.0 and 13.4.  A cold build
+    cannot show this: it builds no Frobenius table, and the tables built
+    after the Zech table keep more than its slices held."""
     t = make_tower(*params)
     tracemalloc.start()
     try:

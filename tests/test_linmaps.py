@@ -141,6 +141,23 @@ def test_rank_kernel_image_frozen():
     assert all(t.trace_enc(a) == 0 for a in image)
 
 
+@pytest.mark.parametrize("params", [(3, 1, 2), (2, 2, 3), (5, 1, 3)])
+def test_eval_enc_is_the_sum_of_powers(params):
+    """eval_enc reads each a_i x^(q^i) off the log tables in one read;
+    it equals sum a_i * pow(x, q^i) at every x, for a seeded map of
+    every rank."""
+    t = make_tower(*params)
+    top = t.top
+    rng = random.Random(f"linmaps-eval:{params}")
+    for r in range(t.n + 1):
+        L = seeded_map_of_rank(t, r, rng)
+        for x in range(t.size):
+            want = 0
+            for i, a in enumerate(L.coeffs):
+                want = top.add(want, top.mul(a, top.pow(x, t.q ** i)))
+            assert L.eval_enc(x) == want
+
+
 def test_rank_nullity():
     for params in SMALL_TOWERS:
         t = make_tower(*params)
